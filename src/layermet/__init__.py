@@ -10,7 +10,6 @@ net as alternative estimators).
 from .image import BinaryMask, GrayImage, RgbImage, normalize, pgm_to_mask, read_pgm, write_pgm
 from .measure import orthogonal_report, three_line_report
 from .metrics import dice, iou, kfold, mse
-from .postprocess import postprocess
 from .synth import SynthRanges, SynthSpec, generate, generate_batch
 
 __version__ = "0.1.0"
@@ -30,7 +29,6 @@ __all__ = [
     "normalize",
     "orthogonal_report",
     "pgm_to_mask",
-    "postprocess",
     "read_pgm",
     "three_line_report",
     "write_pgm",

@@ -31,7 +31,6 @@ from .nnet import (
     ArchitectureMismatchError,
     DivergenceError,
     ModelFormatError,
-    SegModel,
     TrainConfig,
     load_model,
     run_all,
@@ -40,6 +39,7 @@ from .nnet import (
     train_rcnn,
     train_segmenter,
 )
+from .nnet.models import SEG_ARCH
 from .postprocess import EmptyPredictionError, postprocess
 
 EXIT_OK = 0
@@ -100,11 +100,12 @@ def write_png(rgb: RgbImage) -> bytes:
         return struct.pack(">I", len(payload)) + body + struct.pack(">I", zlib.crc32(body))
 
     ihdr = struct.pack(">IIBBBBB", rgb.width, rgb.height, 8, 2, 0, 0, 0)
-    raw = b"".join(b"\x00" + rgb.pixels[y].tobytes() for y in range(rgb.height))
+    rows = rgb.pixels.reshape(rgb.height, rgb.width * 3)
+    raw = np.pad(rows, ((0, 0), (1, 0))).tobytes()  # a zero filter byte leads each row
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", zlib.compress(raw, 9))
+        + chunk(b"IDAT", zlib.compress(raw))
         + chunk(b"IEND", b"")
     )
 
@@ -152,9 +153,21 @@ def _load_pairs(data_dir: Path) -> list[tuple[str, GrayImage, BinaryMask]]:
     return pairs
 
 
-def _write_loss_csv(path: Path, losses: list[float]) -> None:
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(batch_size=args.batch, epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+
+
+def _save_trained(args, model, losses: list[float], summary: str) -> int:
+    """Write the weight file and the `epoch,loss` CSV, then print the summary line."""
+    out = Path(args.out)
+    out.write_bytes(save_model(model))
+    curve = Path(args.curve) if args.curve else out.with_suffix(out.suffix + ".loss.csv")
     lines = ["epoch,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(losses)]
-    path.write_text("\n".join(lines) + "\n")
+    curve.write_text("\n".join(lines) + "\n")
+    if not args.quiet:
+        final = f"{losses[-1]:.6f}" if losses else "n/a"
+        print(f"trained {summary}, {args.epochs} epochs, final loss {final}")
+    return EXIT_OK
 
 
 def cmd_synth(args) -> int:
@@ -174,18 +187,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train_seg(args) -> int:
     pairs = _load_pairs(Path(args.data))
-    cfg = TrainConfig(
-        batch_size=args.batch, epochs=args.epochs, learning_rate=args.lr, seed=args.seed
-    )
-    model, losses = train_segmenter([(img, m) for _, img, m in pairs], cfg)
-    out = Path(args.out)
-    out.write_bytes(save_model(model))
-    curve = Path(args.curve) if args.curve else out.with_suffix(out.suffix + ".loss.csv")
-    _write_loss_csv(curve, losses)
-    if not args.quiet:
-        final = f"{losses[-1]:.6f}" if losses else "n/a"
-        print(f"trained segmenter on {len(pairs)} samples, {cfg.epochs} epochs, final loss {final}")
-    return EXIT_OK
+    model, losses = train_segmenter([(img, m) for _, img, m in pairs], _train_config(args))
+    return _save_trained(args, model, losses, f"segmenter on {len(pairs)} samples")
 
 
 def cmd_train_rcnn(args) -> int:
@@ -207,23 +210,13 @@ def cmd_train_rcnn(args) -> int:
         data.append((mask, target))
     if bad:
         raise ValueError("corrupt data files:\n  " + "\n  ".join(bad))
-    cfg = TrainConfig(
-        batch_size=args.batch, epochs=args.epochs, learning_rate=args.lr, seed=args.seed
-    )
-    model, losses = train_rcnn(data, cfg)
-    out = Path(args.out)
-    out.write_bytes(save_model(model))
-    curve = Path(args.curve) if args.curve else out.with_suffix(out.suffix + ".loss.csv")
-    _write_loss_csv(curve, losses)
-    if not args.quiet:
-        final = f"{losses[-1]:.6f}" if losses else "n/a"
-        print(f"trained regressor on {len(data)} masks, {cfg.epochs} epochs, final loss {final}")
-    return EXIT_OK
+    model, losses = train_rcnn(data, _train_config(args))
+    return _save_trained(args, model, losses, f"regressor on {len(data)} masks")
 
 
 def cmd_segment(args) -> int:
     model = load_model(Path(args.model).read_bytes())
-    if not isinstance(model, SegModel):
+    if model.arch != SEG_ARCH:
         raise ArchitectureMismatchError("model file is not a segmenter", 8)
     image = _load_image(Path(args.image))
     mask = segment_image(model, image)
@@ -293,7 +286,7 @@ def cmd_gradcheck(args) -> int:
     worst = max(errors.values())
     for kind, err in errors.items():
         status = "ok" if err <= TOLERANCE else "FAIL"
-        print(f"{kind:<20s} max_rel_err={err:.3e} {status}")
+        print(f"{kind:<22s} max_rel_err={err:.3e} {status}")
     if worst > TOLERANCE:
         print(f"gradient check failed: worst error {worst:.3e} > {TOLERANCE:.0e}")
         return EXIT_PIPELINE

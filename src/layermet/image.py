@@ -181,6 +181,13 @@ def read_pgm(data: bytes) -> np.ndarray:
             )
         return np.frombuffer(data, np.uint8, count, pos).reshape(height, width).copy()
 
+    # Each pixel token needs a separator and a digit: reject before allocating.
+    if len(data) - pos < 2 * count:
+        raise PgmError(
+            f"truncated payload: {count} pixel tokens need at least {2 * count} bytes, "
+            f"found {len(data) - pos}",
+            len(data),
+        )
     values = np.empty(count, dtype=np.uint8)
     for i in range(count):
         tok, tok_at, pos = _next_token(data, pos)

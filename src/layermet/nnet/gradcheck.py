@@ -1,28 +1,23 @@
-"""Central finite-difference verification of every layer's backward pass.
+"""Central finite-difference verification of every layer's backward pass and both losses.
 
 For each layer kind a small random case is built; the scalar loss is the
 inner product of the layer output with a fixed random projection, so the
 analytic gradient of the loss is exactly backward(projection). Gradients of
 the input and of every parameter are compared against central differences.
+The two training losses return their own gradient with respect to the net
+output, which is compared against central differences of the loss value.
 """
 
 import numpy as np
 
-from .layers import (
-    BatchNorm2d,
-    ChannelSoftmax,
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    Identity,
-    MaxPool2,
-    ReLU,
-    Upsample2,
-)
+from .layers import KIND_CODES, BatchNorm2d, Conv2d, Dense, Dropout, Flatten, MaxPool2, ReLU, Upsample2
+from .models import mse_loss, softmax_cross_entropy
 
 STEP = 1e-4
 TOLERANCE = 1e-4
+
+ALL_KINDS = tuple(KIND_CODES)
+LOSSES = {"softmax_cross_entropy": softmax_cross_entropy, "mse_loss": mse_loss}
 
 
 def _spaced(rng: np.random.Generator, shape) -> np.ndarray:
@@ -36,42 +31,48 @@ def _spaced(rng: np.random.Generator, shape) -> np.ndarray:
     return vals.reshape(shape)
 
 
-def _case(kind: str, rng: np.random.Generator):
+def _layer_case(kind: str, rng: np.random.Generator):
     if kind == "conv2d":
-        return Conv2d(3, 4, 3, rng), rng.normal(size=(2, 3, 6, 6)), True
+        return Conv2d(3, 4, 3, rng), rng.normal(size=(2, 3, 6, 6))
     if kind == "relu":
-        return ReLU(), _spaced(rng, (2, 3, 5, 5)), True
+        return ReLU(), _spaced(rng, (2, 3, 5, 5))
     if kind == "batchnorm":
-        return BatchNorm2d(3), rng.normal(size=(4, 3, 4, 4)), True
+        return BatchNorm2d(3), rng.normal(size=(4, 3, 4, 4))
     if kind == "maxpool2":
-        return MaxPool2(), _spaced(rng, (2, 3, 6, 6)), True
+        return MaxPool2(), _spaced(rng, (2, 3, 6, 6))
     if kind == "upsample2":
-        return Upsample2(), rng.normal(size=(2, 3, 4, 4)), True
+        return Upsample2(), rng.normal(size=(2, 3, 4, 4))
     if kind == "dropout":
-        return Dropout(0.25), rng.normal(size=(2, 3, 4, 4)), True
+        return Dropout(0.25), rng.normal(size=(2, 3, 4, 4))
     if kind == "flatten":
-        return Flatten(), rng.normal(size=(2, 3, 4, 4)), True
+        return Flatten(), rng.normal(size=(2, 3, 4, 4))
     if kind == "dense":
-        return Dense(10, 7, rng), rng.normal(size=(4, 10)), True
-    if kind == "softmax_channelwise":
-        return ChannelSoftmax(), rng.normal(size=(2, 5, 3, 3)), True
-    if kind == "linear":
-        return Identity(), rng.normal(size=(3, 4)), True
+        return Dense(10, 7, rng), rng.normal(size=(4, 10))
     raise ValueError(f"no gradient case for layer kind {kind!r}")
 
 
-ALL_KINDS = (
-    "conv2d",
-    "relu",
-    "batchnorm",
-    "maxpool2",
-    "upsample2",
-    "dropout",
-    "flatten",
-    "dense",
-    "softmax_channelwise",
-    "linear",
-)
+def _case(kind: str, rng: np.random.Generator):
+    """(tensors, scalar loss of the tensors, analytic gradients) for one check."""
+    if kind in LOSSES:
+        if kind == "softmax_cross_entropy":
+            out, target = rng.normal(size=(2, 2, 3, 3)), rng.integers(0, 2, size=(2, 3, 3))
+        else:
+            out, target = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
+        fn = LOSSES[kind]
+        return [out], lambda: fn(out, target)[0], [fn(out, target)[1]]
+
+    layer, x = _layer_case(kind, rng)
+    projection = rng.normal(size=layer.forward(x.copy(), train=True).shape)
+    dropout_seed = int(rng.integers(2**32))
+
+    def loss():
+        if isinstance(layer, Dropout):
+            layer.rng = np.random.default_rng(dropout_seed)  # same mask every call
+        return float((layer.forward(x, train=True) * projection).sum())
+
+    loss()
+    dx = layer.backward(projection.copy())
+    return [x] + layer.params(), loss, [dx] + [g.copy() for g in layer.grads()]
 
 
 def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -81,27 +82,12 @@ def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def check_layer(kind: str, seed: int = 0, corrupt: bool = False) -> float:
-    """Worst relative error across input and parameter gradients for one kind."""
+    """Worst relative error across the analytic gradients of one layer kind or loss."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
-    layer, x, train = _case(kind, rng)
-    projection = rng.normal(size=layer.forward(x.copy(), train=train).shape)
-    dropout_seed = int(rng.integers(2**32))
-
-    def run_forward(inp):
-        if isinstance(layer, Dropout):
-            layer.rng = np.random.default_rng(dropout_seed)  # same mask every call
-        return layer.forward(inp, train=train)
-
-    def loss(inp):
-        return float((run_forward(inp) * projection).sum())
-
-    run_forward(x)
-    dx = layer.backward(projection.copy())
-    analytic = [dx] + [g.copy() for g in layer.grads()]
+    tensors, loss, analytic = _case(kind, rng)
     if corrupt:
         analytic[0] = analytic[0] * 1.01 + 1e-3
 
-    tensors = [x] + layer.params()
     worst = 0.0
     for tensor, grad in zip(tensors, analytic):
         numeric = np.zeros_like(tensor, dtype=np.float64)
@@ -110,9 +96,9 @@ def check_layer(kind: str, seed: int = 0, corrupt: bool = False) -> float:
         for i in range(flat_t.size):
             orig = flat_t[i]
             flat_t[i] = orig + STEP
-            up = loss(x)
+            up = loss()
             flat_t[i] = orig - STEP
-            down = loss(x)
+            down = loss()
             flat_t[i] = orig
             flat_n[i] = (up - down) / (2.0 * STEP)
         worst = max(worst, _rel_error(np.asarray(grad), numeric))
@@ -120,5 +106,5 @@ def check_layer(kind: str, seed: int = 0, corrupt: bool = False) -> float:
 
 
 def run_all(seed: int = 0, corrupt: bool = False) -> dict[str, float]:
-    """Max relative gradient error per layer kind."""
-    return {kind: check_layer(kind, seed=seed, corrupt=corrupt) for kind in ALL_KINDS}
+    """Max relative gradient error per layer kind and per loss."""
+    return {kind: check_layer(kind, seed=seed, corrupt=corrupt) for kind in (*ALL_KINDS, *LOSSES)}

@@ -5,8 +5,11 @@ Layout (little-endian):
 Each record is: uint8 kind code | uint8 array count | per array:
     uint8 ndim | int32 * ndim extents | float64 * prod(extents) data
 BatchNorm records append running mean and variance after gamma and beta.
+Version 2 dropped the parameterless softmax and linear records that ended the
+two nets in version 1; version 1 files are rejected.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -15,7 +18,7 @@ from .layers import KIND_CODES, BatchNorm2d, Layer
 from .models import Model, RCNN_ARCH, SEG_ARCH, build_rcnn, build_segmenter
 
 MAGIC = b"LMET"
-VERSION = 1
+VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -58,24 +61,29 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
+    def _need(self, size: int) -> None:
         if self.pos + size > len(self.data):
             raise ModelFormatError(
                 f"truncated: needed {size} bytes, found {len(self.data) - self.pos}",
                 self.pos,
             )
+
+    def take(self, fmt: str):
+        size = struct.calcsize(fmt)
+        self._need(size)
         values = struct.unpack_from(fmt, self.data, self.pos)
         self.pos += size
         return values
 
     def take_array(self) -> np.ndarray:
         (ndim,) = self.take("<B")
-        shape = self.take(f"<{ndim}i") if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
+        shape = self.take(f"<{ndim}i")
         if any(d < 0 for d in shape):
             raise ModelFormatError(f"negative extent in shape {shape}", self.pos)
-        flat = np.array(self.take(f"<{count}d"))
+        count = math.prod(shape)  # exact: declared extents may not fit in int64
+        self._need(8 * count)
+        flat = np.frombuffer(self.data, "<f8", count, self.pos)
+        self.pos += 8 * count
         return flat.reshape(shape)
 
 
@@ -90,7 +98,7 @@ def load_model(data: bytes) -> Model:
         raise ModelFormatError(f"unsupported format version {version}", 4)
     (arch,) = reader.take("<B")
     if arch == SEG_ARCH:
-        model: Model = build_segmenter(0)
+        model = build_segmenter(0)
     elif arch == RCNN_ARCH:
         model = build_rcnn(0)
     else:

@@ -268,38 +268,6 @@ class Dense(Layer):
         return dy @ self.weight.T
 
 
-class ChannelSoftmax(Layer):
-    """Softmax across the channel axis of (N, C, H, W), numerically stabilized."""
-
-    kind = "softmax_channelwise"
-
-    def __init__(self):
-        self._y = None
-
-    def forward(self, x, train=False):
-        z = x - x.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        y = e / e.sum(axis=1, keepdims=True)
-        self._y = y
-        return y
-
-    def backward(self, dy):
-        y = self._y
-        return y * (dy - (y * dy).sum(axis=1, keepdims=True))
-
-
-class Identity(Layer):
-    """Linear activation: passes values and gradients through unchanged."""
-
-    kind = "linear"
-
-    def forward(self, x, train=False):
-        return x
-
-    def backward(self, dy):
-        return dy
-
-
 KIND_CODES = {
     "conv2d": 1,
     "relu": 2,
@@ -309,6 +277,6 @@ KIND_CODES = {
     "dropout": 6,
     "flatten": 7,
     "dense": 8,
-    "softmax_channelwise": 9,
-    "linear": 10,
 }
+# Codes 9 and 10 held the softmax and linear layers of weight-format version 1;
+# they stay retired so that no later kind reuses them.

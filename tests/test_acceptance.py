@@ -23,11 +23,12 @@ from layermet.nnet import (
     predict_mask,
     predict_thickness,
     run_all,
+    softmax,
     train_rcnn,
     train_segmenter,
 )
 from layermet.nnet.gradcheck import TOLERANCE
-from layermet.nnet.layers import ChannelSoftmax, Dropout
+from layermet.nnet.layers import Dropout
 from layermet.postprocess import EmptyPredictionError, label_components, postprocess
 from layermet.synth import SynthRanges, SynthSpec, generate, generate_batch
 
@@ -223,7 +224,7 @@ def test_criterion_7_gradient_suite(rng):
     errors = run_all(seed=7)
     worst = max(errors.values())
     softmax_dev = np.abs(
-        ChannelSoftmax().forward(rng.normal(scale=3.0, size=(2, 4, 5, 5))).sum(axis=1) - 1.0
+        softmax(rng.normal(scale=3.0, size=(2, 4, 5, 5))).sum(axis=1) - 1.0
     ).max()
     drop = Dropout(0.25, np.random.default_rng(1))
     x = rng.normal(size=(64, 64))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def craft_threshold_segmenter(gain=8.0, threshold=0.5):
         elif isinstance(layer, BatchNorm2d):
             layer.running_mean[:] = 0.0
             layer.running_var[:] = 1.0 - layer.eps
-    head = model.layers[-2]
+    head = model.layers[-1]
     head.weight[:] = 0.0
     head.bias[:] = (0.0, -gain * threshold)
     head.weight[1, 0, 0, 0] = gain
@@ -219,7 +220,7 @@ class TestSegmentCommand:
     def test_empty_prediction_exit_3(self, tmp_path):
         model_path = tmp_path / "bg.lmet"
         model = craft_threshold_segmenter()
-        model.layers[-2].bias[:] = (0.0, -10.0)  # background wins everywhere
+        model.layers[-1].bias[:] = (0.0, -10.0)  # background wins everywhere
         model_path.write_bytes(save_model(model))
         img = tmp_path / "img.pgm"
         _write_band_image(img)
@@ -241,6 +242,17 @@ class TestSegmentCommand:
         _write_band_image(img)
         code = main(["segment", "--model", str(model_path), "--image", str(img), "--out", str(tmp_path / "m.pgm")])
         assert code == 2
+
+    def test_oversized_weight_extents_exit_2(self, tmp_path, capsys):
+        blob = bytearray(save_model(build_segmenter(seed=0)))
+        blob[12:28] = struct.pack("<4i", 2**31 - 1, 2**31 - 1, 2**31 - 1, 3)  # first conv weight
+        model_path = tmp_path / "huge.lmet"
+        model_path.write_bytes(bytes(blob))
+        img = tmp_path / "img.pgm"
+        _write_band_image(img)
+        code = main(["segment", "--model", str(model_path), "--image", str(img), "--out", str(tmp_path / "m.pgm")])
+        assert code == 2
+        assert "(byte 28)" in capsys.readouterr().err
 
 
 class TestMeasureCommand:
@@ -302,6 +314,13 @@ class TestMeasureCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["measure", "--mask", str(tmp_path / "nothing.pgm")]) == 2
 
+    def test_p2_header_larger_than_data_exit_2(self, tmp_path, capsys):
+        # A million-by-million header over three pixels: rejected before any allocation.
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P2\n1000000 1000000\n255\n0 0 0\n")
+        assert main(["measure", "--mask", str(path)]) == 2
+        assert "truncated payload" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_perfect_and_disjoint(self, tmp_path, capsys):
@@ -355,7 +374,7 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         for kind in (
             "conv2d", "relu", "batchnorm", "maxpool2", "upsample2",
-            "dropout", "flatten", "dense", "softmax_channelwise", "linear",
+            "dropout", "flatten", "dense", "softmax_cross_entropy", "mse_loss",
         ):
             assert kind in out
 

@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from layermet.nnet.gradcheck import ALL_KINDS, TOLERANCE, check_layer, run_all
-from layermet.nnet.layers import (
-    BatchNorm2d,
-    ChannelSoftmax,
-    Conv2d,
-    Dense,
-    Dropout,
-    Identity,
-    MaxPool2,
-    ReLU,
-    Upsample2,
-)
+from layermet.nnet.gradcheck import ALL_KINDS, LOSSES, TOLERANCE, check_layer, run_all
+from layermet.nnet.layers import BatchNorm2d, Conv2d, Dense, Dropout, MaxPool2, ReLU, Upsample2
+from layermet.nnet.models import softmax
 
 
 class TestForwardSemantics:
@@ -42,12 +33,12 @@ class TestForwardSemantics:
 
     def test_softmax_uniform_on_equal_logits(self):
         x = np.zeros((1, 2, 3, 3))
-        out = ChannelSoftmax().forward(x)
+        out = softmax(x)
         assert np.allclose(out, 0.5)
 
     def test_softmax_sums_to_one(self, rng):
         x = rng.normal(scale=4.0, size=(2, 5, 6, 6))
-        out = ChannelSoftmax().forward(x)
+        out = softmax(x)
         sums = out.sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-6
         assert (out > 0).all() and (out < 1).all()
@@ -55,10 +46,6 @@ class TestForwardSemantics:
     def test_relu_clamps(self):
         x = np.array([[-1.0, 0.5]])
         assert ReLU().forward(x).tolist() == [[0.0, 0.5]]
-
-    def test_identity_passthrough(self, rng):
-        x = rng.normal(size=(3, 4))
-        assert (Identity().forward(x) == x).all()
 
     def test_dense_backward_closed_form(self, rng):
         dense = Dense(5, 3, rng)
@@ -123,7 +110,7 @@ class TestDropout:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind", (*ALL_KINDS, *LOSSES))
     def test_analytic_matches_finite_differences(self, kind):
         assert check_layer(kind, seed=0) <= TOLERANCE
 

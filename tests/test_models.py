@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from layermet.nnet import (
     resample_mask_nearest,
     save_model,
     segment_image,
+    softmax,
     train_rcnn,
     train_segmenter,
 )
@@ -64,7 +67,7 @@ class TestSegModelForward:
     def test_output_shape_and_probability_sums(self, rng):
         model = build_segmenter(seed=3)
         x = rng.random((2, 1, 32, 48))
-        out = model.forward(x, train=False)
+        out = softmax(model.forward(x, train=False))
         assert out.shape == (2, 2, 32, 48)
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
 
@@ -87,7 +90,7 @@ class TestSegModelForward:
 
     def test_forced_foreground_prediction(self):
         model = build_segmenter(seed=0)
-        head = model.layers[-2]
+        head = model.layers[-1]
         head.weight[:] = 0.0
         head.bias[:] = (0.0, 10.0)
         mask = predict_mask(model, GrayImage(np.full((32, 32), 0.5)))
@@ -95,7 +98,7 @@ class TestSegModelForward:
 
     def test_tie_goes_to_background(self):
         model = build_segmenter(seed=0)
-        head = model.layers[-2]
+        head = model.layers[-1]
         head.weight[:] = 0.0
         head.bias[:] = (0.0, 0.0)
         mask = predict_mask(model, GrayImage(np.full((32, 32), 0.5)))
@@ -216,9 +219,20 @@ class TestSerialization:
 
     def test_version_mismatch(self):
         blob = bytearray(save_model(build_rcnn(seed=0)))
-        blob[4] = 99
-        with pytest.raises(ModelFormatError, match="version"):
+        for version in (1, 99):  # 1 is the retired format with softmax and linear records
+            blob[4] = version
+            with pytest.raises(ModelFormatError, match="version"):
+                load_model(bytes(blob))
+
+    @pytest.mark.parametrize("extents", [(2**31 - 1, 2**31 - 1, 2**31 - 1, 3), (65536,) * 4])
+    def test_oversized_extents_report_offset(self, extents):
+        # The first record is the segmenter's first conv weight, a 4-D array
+        # whose extents start at byte 12.
+        blob = bytearray(save_model(build_segmenter(seed=0)))
+        blob[12:28] = struct.pack("<4i", *extents)
+        with pytest.raises(ModelFormatError, match="truncated") as err:
             load_model(bytes(blob))
+        assert err.value.offset == 28
 
     def test_truncated_reports_offset(self):
         blob = save_model(build_segmenter(seed=0))
