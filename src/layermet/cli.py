@@ -7,6 +7,7 @@ All randomness flows from --seed; there is no wall-clock or OS entropy.
 
 import argparse
 import json
+import math
 import struct
 import sys
 import zlib
@@ -74,10 +75,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _range_pair(text: str) -> tuple[float, float]:
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
+        lo, hi = (float(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a range like 4:12, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"range bounds must be finite, got {text!r}")
+    return lo, hi
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _nonneg_int(text: str) -> int:
@@ -282,7 +292,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .nnet.gradcheck import TOLERANCE
 
-    errors = run_all(seed=args.seed, corrupt=args.corrupt)
+    errors = run_all(seed=args.seed)
     worst = max(errors.values())
     for kind, err in errors.items():
         status = "ok" if err <= TOLERANCE else "FAIL"
@@ -343,7 +353,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("measure", help="measure layer thickness from a mask")
     p.add_argument("--mask", required=True)
     p.add_argument("--method", choices=("orthogonal", "three-line"), default="orthogonal")
-    p.add_argument("--scale", type=float, default=1.0, help="nm per pixel")
+    p.add_argument("--scale", type=_positive_float, default=1.0, help="nm per pixel")
     p.add_argument("--json", default=None, help="write the report JSON here")
     p.add_argument("--overlay", default=None, help="write an overlay (.ppm or .png)")
     p.add_argument("--image", default=None, help="grayscale source for the overlay")
@@ -359,7 +369,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer kind")
     p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import BinaryMask
+from .measure import fit_regression_line
 
 
 def _counts(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int]:
@@ -85,19 +86,14 @@ def comparison_fit(x, y) -> ComparisonFit:
     yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape or xv.ndim != 1 or xv.size < 2:
         raise ValueError(f"need two equal-length series of >= 2 points, got {xv.shape} vs {yv.shape}")
-    if np.unique(xv).size < 2:
-        raise ValueError("reference series has no spread (all x equal)")
-    mx, my = xv.mean(), yv.mean()
-    dx = xv - mx
-    slope = float(np.sum(dx * (yv - my)) / np.sum(dx * dx))
-    intercept = float(my - slope * mx)
-    ss_res = float(np.sum((yv - (slope * xv + intercept)) ** 2))
-    ss_tot = float(np.sum((yv - my) ** 2))
+    line = fit_regression_line(np.column_stack([xv, yv]))  # DegenerateFitError on constant x
+    ss_res = float(np.sum((yv - (line.slope * xv + line.intercept)) ** 2))
+    ss_tot = float(np.sum((yv - yv.mean()) ** 2))
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res < 1e-12 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return ComparisonFit(slope=slope, intercept=intercept, r2=r2)
+    return ComparisonFit(slope=line.slope, intercept=line.intercept, r2=r2)
 
 
 @dataclass(frozen=True)

@@ -77,16 +77,15 @@ def _case(kind: str, rng: np.random.Generator):
 
 def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     num = float(np.abs(analytic - numeric).max())
-    den = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()), 1.0)
+    # the floor only guards all-zero gradients: small gradients stay relative
+    den = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()), 1e-12)
     return num / den
 
 
-def check_layer(kind: str, seed: int = 0, corrupt: bool = False) -> float:
+def check_layer(kind: str, seed: int = 0) -> float:
     """Worst relative error across the analytic gradients of one layer kind or loss."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
     tensors, loss, analytic = _case(kind, rng)
-    if corrupt:
-        analytic[0] = analytic[0] * 1.01 + 1e-3
 
     worst = 0.0
     for tensor, grad in zip(tensors, analytic):
@@ -105,6 +104,6 @@ def check_layer(kind: str, seed: int = 0, corrupt: bool = False) -> float:
     return worst
 
 
-def run_all(seed: int = 0, corrupt: bool = False) -> dict[str, float]:
+def run_all(seed: int = 0) -> dict[str, float]:
     """Max relative gradient error per layer kind and per loss."""
-    return {kind: check_layer(kind, seed=seed, corrupt=corrupt) for kind in (*ALL_KINDS, *LOSSES)}
+    return {kind: check_layer(kind, seed=seed) for kind in (*ALL_KINDS, *LOSSES)}

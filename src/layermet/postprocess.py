@@ -1,8 +1,9 @@
 """Connected-component labeling and largest-component filtering for masks.
 
 Labeling is run-based two-pass union-find: row runs of foreground pixels are
-merged with overlapping runs of the previous row, then labels are renumbered
-by raster discovery order so results are fully deterministic.
+merged with the previous row's runs they overlap or touch diagonally
+(8-connectivity), then labels are renumbered by raster discovery order so
+results are fully deterministic.
 """
 
 from dataclasses import dataclass
@@ -20,24 +21,14 @@ class EmptyPredictionError(ValueError):
 class RegionStats:
     label: int
     area: int
-    bbox: tuple[int, int, int, int]  # (x_min, y_min, x_max, y_max), inclusive
-    centroid: tuple[float, float]
 
 
 @dataclass(frozen=True, eq=False)
 class LabeledRegions:
-    """Dense labels 1..R over a mask, 0 meaning background, plus per-label stats."""
+    """Dense labels 1..R over a mask, 0 meaning background, plus per-label areas."""
 
     labels: np.ndarray
     regions: tuple[RegionStats, ...]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -61,13 +52,10 @@ def _row_runs(row: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
-def label_components(mask: BinaryMask, connectivity: int = 8) -> LabeledRegions:
-    """Label connected foreground regions under 4- or 8-connectivity."""
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+def label_components(mask: BinaryMask) -> LabeledRegions:
+    """Label 8-connected foreground regions."""
     cells = mask.cells
     height, width = cells.shape
-    reach = 1 if connectivity == 8 else 0
 
     parent = [0]  # provisional labels start at 1
     all_runs: list[tuple[int, int, int, int]] = []  # (y, start, end, provisional)
@@ -78,10 +66,10 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> LabeledRegions:
         for start, end in _row_runs(cells[y]):
             label = 0
             # skip previous-row runs ending left of this run's neighborhood
-            while j < len(prev) and prev[j][1] - 1 < start - reach:
+            while j < len(prev) and prev[j][1] < start:
                 j += 1
             k = j
-            while k < len(prev) and prev[k][0] <= (end - 1) + reach:
+            while k < len(prev) and prev[k][0] <= end:
                 if label == 0:
                     label = prev[k][2]
                 else:
@@ -101,28 +89,8 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> LabeledRegions:
         final = remap.setdefault(root, len(remap) + 1)
         labels[y, start:end] = final
 
-    count = len(remap)
-    if count == 0:
-        return LabeledRegions(labels, ())
-
-    ys, xs = np.nonzero(labels)
-    owner = labels[ys, xs]
-    order = np.argsort(owner, kind="stable")
-    owner, xs, ys = owner[order], xs[order], ys[order]
-    bounds = np.searchsorted(owner, np.arange(1, count + 2))
-    regions = []
-    for label in range(1, count + 1):
-        lo, hi = int(bounds[label - 1]), int(bounds[label])
-        rx, ry = xs[lo:hi], ys[lo:hi]
-        regions.append(
-            RegionStats(
-                label=label,
-                area=int(hi - lo),
-                bbox=(int(rx.min()), int(ry.min()), int(rx.max()), int(ry.max())),
-                centroid=(float(rx.mean()), float(ry.mean())),
-            )
-        )
-    return LabeledRegions(labels, tuple(regions))
+    areas = np.bincount(labels.ravel())[1:].tolist()
+    return LabeledRegions(labels, tuple(RegionStats(label, area) for label, area in enumerate(areas, start=1)))
 
 
 def largest_component(regions: LabeledRegions) -> BinaryMask:
@@ -135,4 +103,4 @@ def largest_component(regions: LabeledRegions) -> BinaryMask:
 
 def postprocess(mask: BinaryMask) -> BinaryMask:
     """Keep only the largest 8-connected region of a predicted mask."""
-    return largest_component(label_components(mask, connectivity=8))
+    return largest_component(label_components(mask))

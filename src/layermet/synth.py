@@ -161,7 +161,7 @@ def generate(spec: SynthSpec) -> SynthSample:
         img = np.clip(_box_blur(img, spec.blur_radius), 0.0, 1.0)
 
     truth = BinaryMask(mask)
-    if len(label_components(truth, connectivity=8).regions) != 1:
+    if len(label_components(truth).regions) != 1:
         raise SynthSpecError("band rasterized into more than one connected region")
     return SynthSample(GrayImage(img), truth, float(spec.thickness), spec)
 

@@ -1,10 +1,19 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from layermet.image import BinaryMask
+from layermet.measure import (
+    MIN_SAMPLES,
+    BoundaryColumns,
+    InsufficientCoverageError,
+    MidlineFit,
+    ThicknessSample,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
@@ -18,13 +27,10 @@ def band_mask(width: int, top: int, bottom: int, height: int | None = None) -> B
     return BinaryMask(cells)
 
 
-def flood_components(cells: np.ndarray, connectivity: int) -> list[set[tuple[int, int]]]:
-    """Brute-force BFS flood fill; the labeling oracle. Returns pixel sets in
-    raster discovery order."""
-    if connectivity == 4:
-        steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    else:
-        steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
+def flood_components(cells: np.ndarray) -> list[set[tuple[int, int]]]:
+    """Brute-force 8-connected BFS flood fill; the labeling oracle. Returns
+    pixel sets in raster discovery order."""
+    steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
     h, w = cells.shape
     seen = np.zeros_like(cells, dtype=bool)
     regions = []
@@ -45,6 +51,68 @@ def flood_components(cells: np.ndarray, connectivity: int) -> list[set[tuple[int
                         queue.append((ny, nx))
             regions.append(pixels)
     return regions
+
+
+def _first_hit(px, py, ax, ay, nx, ny, side):
+    """Closest intersection of the line anchor + s*normal with a polyline.
+
+    `side` is -1 for hits at s <= 0 (toward the top boundary) and +1 for
+    s >= 0. Returns (point, s) or None.
+    """
+    sx, sy = np.diff(px), np.diff(py)
+    rx, ry = px[:-1] - ax, py[:-1] - ay
+    det = sx * ny - sy * nx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (sx * ry - sy * rx) / det
+        u = (nx * ry - ny * rx) / det
+    ok = (np.abs(det) > 1e-12) & (u >= 0.0) & (u <= 1.0)
+    if side < 0:
+        ok &= s <= 1e-9
+    else:
+        ok &= s >= -1e-9
+    if not ok.any():
+        return None
+    if side > 0:
+        s_hit = float(np.where(ok, s, np.inf).min())
+    else:
+        s_hit = float(np.where(ok, s, -np.inf).max())
+    return (ax + s_hit * nx, ay + s_hit * ny), s_hit
+
+
+def reference_orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> list[ThicknessSample]:
+    """Per-anchor loop that `measure.orthogonal_samples` must reproduce exactly.
+
+    Each interior anchor's ray is intersected with both boundary polylines on
+    its own; the steep-slope check is left to the code under test.
+    """
+    cols = bounds.columns.astype(np.float64)
+    top_y = bounds.top - 0.5
+    bot_y = bounds.bottom + 0.5
+    mids = (bounds.top + bounds.bottom) / 2.0
+    nx, ny = fit.normal
+    guard = int(math.ceil(float(np.median(bounds.bottom - bounds.top + 1.0))))
+    samples = []
+    for i in range(cols.size):
+        x = cols[i]
+        if x - cols[0] < guard or cols[-1] - x < guard:
+            continue
+        up = _first_hit(cols, top_y, x, mids[i], nx, ny, side=-1)
+        dn = _first_hit(cols, bot_y, x, mids[i], nx, ny, side=+1)
+        if up is None or dn is None:
+            continue
+        (ux, uy), _ = up
+        (lx, ly), _ = dn
+        samples.append(
+            ThicknessSample(
+                anchor=(float(x), float(mids[i])),
+                upper_hit=(ux, uy),
+                lower_hit=(lx, ly),
+                length=math.hypot(lx - ux, ly - uy),
+            )
+        )
+    if len(samples) < MIN_SAMPLES:
+        raise InsufficientCoverageError(f"only {len(samples)} perpendicular samples")
+    return samples
 
 
 @pytest.fixture

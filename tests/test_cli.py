@@ -8,7 +8,7 @@ import pytest
 from layermet.cli import main
 from layermet.image import BinaryMask, mask_to_pgm, pgm_to_mask, write_pgm
 from layermet.nnet import build_rcnn, build_segmenter, load_model, save_model
-from layermet.nnet.layers import BatchNorm2d, Conv2d
+from layermet.nnet.layers import BatchNorm2d, Conv2d, Dense
 from layermet.postprocess import label_components
 from layermet.synth import SynthSpec, generate
 
@@ -79,6 +79,12 @@ class TestSynthCommand:
 
     def test_bad_range_syntax_is_usage_error(self, tmp_path):
         assert main(["synth", "--n", "1", "--out", str(tmp_path), "--tilt", "oops"]) == 1
+
+    @pytest.mark.parametrize("args", [["--thickness", "nan:nan"], ["--noise", "0:inf"], ["--tilt=-inf:5"]])
+    def test_non_finite_range_is_usage_error(self, tmp_path, capsys, args):
+        assert main(["synth", "--n", "1", "--out", str(tmp_path / "x"), *args]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrainCommands:
@@ -284,6 +290,15 @@ class TestMeasureCommand:
         assert payload["mean_px"] == 10.0
         assert payload["mean_nm"] == 5.0
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+    def test_non_positive_or_non_finite_scale_is_usage_error(self, tmp_path, flat_mask_file, capsys, scale):
+        report_path = tmp_path / "report.json"
+        args = ["measure", "--mask", str(flat_mask_file), "--scale", scale, "--json", str(report_path)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "positive finite" in captured.err and captured.out == ""
+        assert not report_path.exists()
+
     def test_three_line_exceeds_orthogonal_on_tilt(self, tmp_path, capsys):
         sample = generate(SynthSpec(width=128, height=112, thickness=10, tilt_deg=25))
         mask_path = tmp_path / "tilted.pgm"
@@ -378,8 +393,14 @@ class TestGradcheckCommand:
         ):
             assert kind in out
 
-    def test_corrupt_negative_control(self, capsys):
-        assert main(["gradcheck", "--corrupt"]) == 3
+    def test_corrupt_negative_control(self, monkeypatch, capsys):
+        backward = Dense.backward
+        monkeypatch.setattr(Dense, "backward", lambda self, grad: backward(self, grad) * 1.01)
+        assert main(["gradcheck"]) == 3
+        rows = [line.split() for line in capsys.readouterr().out.splitlines() if "max_rel_err" in line]
+        status = {row[0]: row[-1] for row in rows}
+        assert status.pop("dense") == "FAIL"
+        assert set(status.values()) == {"ok"}
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from layermet.nnet import gradcheck
 from layermet.nnet.gradcheck import ALL_KINDS, LOSSES, TOLERANCE, check_layer, run_all
 from layermet.nnet.layers import BatchNorm2d, Conv2d, Dense, Dropout, MaxPool2, ReLU, Upsample2
 from layermet.nnet.models import softmax
@@ -114,6 +115,21 @@ class TestGradients:
     def test_analytic_matches_finite_differences(self, kind):
         assert check_layer(kind, seed=0) <= TOLERANCE
 
-    def test_corrupt_negative_control(self):
-        errors = run_all(seed=0, corrupt=True)
-        assert max(errors.values()) > TOLERANCE
+    def test_corrupt_negative_control(self, monkeypatch):
+        backward = Dense.backward
+        monkeypatch.setattr(Dense, "backward", lambda self, grad: backward(self, grad) * 1.01)
+        errors = run_all(seed=0)
+        assert errors.pop("dense") > TOLERANCE
+        assert max(errors.values()) <= TOLERANCE
+
+    def test_small_loss_gradient_error_detected(self, monkeypatch):
+        # the cross-entropy gradient entries sit far below 1, so a 0.1% error
+        # is only visible to a relative comparison
+        loss = LOSSES["softmax_cross_entropy"]
+
+        def scaled(logits, labels):
+            value, grad = loss(logits, labels)
+            return value, grad * 1.001
+
+        monkeypatch.setitem(gradcheck.LOSSES, "softmax_cross_entropy", scaled)
+        assert check_layer("softmax_cross_entropy", seed=0) > TOLERANCE

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from layermet import measure
 from layermet.image import BinaryMask
 from layermet.measure import (
     DegenerateFitError,
@@ -20,7 +21,7 @@ from layermet.measure import (
 )
 from layermet.synth import SynthSpec, generate
 
-from conftest import band_mask
+from conftest import band_mask, reference_orthogonal_samples
 
 
 class TestExtractBoundaries:
@@ -111,7 +112,60 @@ class TestFitRegressionLine:
             fit_regression_line([(3, 0), (3, 5)])
 
 
+def _acceptance_corpora() -> list[BinaryMask]:
+    """The band masks acceptance criteria 1, 2 and 9 measure, drawn the same way."""
+    specs = []
+    rng = np.random.default_rng(20240801)
+    for i in range(50):
+        t, tilt = int(rng.integers(8, 17)), float(rng.uniform(-30.0, 30.0))
+        specs.append(SynthSpec(width=128, height=112, thickness=t, tilt_deg=tilt, seed=i))
+    for theta in (10.0, 20.0, 30.0):
+        specs += [SynthSpec(width=128, height=112, thickness=t, tilt_deg=theta, seed=t) for t in range(9, 17)]
+    rng = np.random.default_rng(99)
+    for i in range(40):
+        t, tilt = int(rng.integers(8, 17)), float(rng.uniform(-25.0, 25.0))
+        specs.append(SynthSpec(width=128, height=112, thickness=t, tilt_deg=tilt, seed=5000 + i))
+    return [generate(spec).truth_mask for spec in specs]
+
+
+def _ragged_bands(count: int, seed: int) -> list[BinaryMask]:
+    """Wandering bands whose top and bottom rows jump at random per column."""
+    rng = np.random.default_rng(seed)
+    masks = []
+    for _ in range(count):
+        width = int(rng.integers(20, 700))
+        base = np.cumsum(rng.integers(-1, 2, size=width))
+        top = base - rng.integers(2, 12, size=width)
+        bottom = base + rng.integers(2, 12, size=width)
+        shift = 2 - top.min()  # two background rows above the band
+        top, bottom = top + shift, bottom + shift
+        cells = np.zeros((int(bottom.max()) + 5, width + 4), dtype=bool)
+        for x in range(width):
+            cells[top[x] : bottom[x] + 1, x + 2] = True
+        masks.append(BinaryMask(cells))
+    return masks
+
+
 class TestOrthogonalSamples:
+    @pytest.mark.parametrize("pairs", [measure.BLOCK_PAIRS, 1000])
+    def test_equals_per_anchor_reference(self, pairs, monkeypatch):
+        monkeypatch.setattr(measure, "BLOCK_PAIRS", pairs)  # 1000: several passes per band
+        masks = _acceptance_corpora() + _ragged_bands(30, seed=11)
+        compared = 0
+        for mask in masks:
+            bounds = extract_boundaries(mask)
+            fit = fit_regression_line(midpoints(bounds))
+            try:
+                expected = reference_orthogonal_samples(bounds, fit)
+            except InsufficientCoverageError:
+                with pytest.raises(InsufficientCoverageError):
+                    orthogonal_samples(bounds, fit)
+                continue
+            assert orthogonal_samples(bounds, fit) == expected  # exact, sample for sample
+            compared += 1
+        assert compared >= len(masks) - 5
+
+
     def test_flat_band_exact(self):
         mask = band_mask(100, 20, 29, height=64)
         bounds = extract_boundaries(mask)

@@ -31,25 +31,19 @@ class TestLabelComponents:
         out = label_components(BinaryMask(cells))
         assert len(out.regions) == 1
         region = out.regions[0]
-        assert region.area == 9
-        assert region.bbox == (3, 2, 5, 4)
-        assert region.centroid == (4.0, 3.0)
+        assert (region.label, region.area) == (1, 9)
+        assert (out.labels == 1).sum() == 9 and out.labels[2:5, 3:6].all()
 
     def test_diagonal_connectivity(self):
         mask = _mask_from(["#.", ".#"])
-        assert len(label_components(mask, connectivity=8).regions) == 1
-        assert len(label_components(mask, connectivity=4).regions) == 2
+        assert len(label_components(mask).regions) == 1
 
-    def test_bad_connectivity(self):
-        with pytest.raises(ValueError):
-            label_components(BinaryMask(np.ones((2, 2), dtype=bool)), connectivity=6)
-
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8]), st.floats(0.2, 0.8))
-    def test_matches_flood_fill_oracle(self, seed, connectivity, density):
+    @given(st.integers(0, 2**32 - 1), st.floats(0.2, 0.8))
+    def test_matches_flood_fill_oracle(self, seed, density):
         cells = np.random.default_rng(seed).random((12, 14)) < density
         mask = BinaryMask(cells)
-        out = label_components(mask, connectivity=connectivity)
-        oracle = flood_components(cells, connectivity)
+        out = label_components(mask)
+        oracle = flood_components(cells)
         assert len(out.regions) == len(oracle)
         # identical partitions, in the same raster discovery order
         for region, pixels in zip(out.regions, oracle):
@@ -58,6 +52,7 @@ class TestLabelComponents:
                 for y, x in zip(*np.nonzero(out.labels == region.label))
             }
             assert got == pixels
+            assert region.area == len(pixels)
         assert sum(r.area for r in out.regions) == int(cells.sum())
 
     @given(st.integers(0, 2**32 - 1))
@@ -66,10 +61,10 @@ class TestLabelComponents:
         out = label_components(BinaryMask(cells))
         labels = sorted(r.label for r in out.regions)
         assert labels == list(range(1, len(labels) + 1))
+        assert set(np.unique(out.labels[cells]).tolist()) == set(labels)
+        assert (out.labels[~cells] == 0).all()
         for r in out.regions:
-            x0, y0, x1, y1 = r.bbox
-            cx, cy = r.centroid
-            assert x0 <= cx <= x1 and y0 <= cy <= y1
+            assert r.area == int((out.labels == r.label).sum())
 
 
 class TestLargestComponent:
@@ -133,6 +128,6 @@ class TestPostprocess:
             cells[3, 3] = True
         out = postprocess(BinaryMask(cells))
         assert (out.cells <= cells).all()  # only removes pixels
-        assert len(flood_components(out.cells, 8)) == 1
+        assert len(flood_components(out.cells)) == 1
         again = postprocess(out)
         assert (again.cells == out.cells).all()
