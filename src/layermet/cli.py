@@ -324,7 +324,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--epochs", type=_nonneg_int, required=True)
     p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--lr", type=_positive_float, default=0.1)
     p.add_argument("--out", required=True, help="weight file path")
     p.add_argument("--curve", default=None, help="loss CSV path (default <out>.loss.csv)")
     p.add_argument("--seed", type=_nonneg_int, default=0)
@@ -335,7 +335,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--epochs", type=_nonneg_int, required=True)
     p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--lr", type=_positive_float, default=1e-4)
     p.add_argument("--out", required=True)
     p.add_argument("--curve", default=None)
     p.add_argument("--seed", type=_nonneg_int, default=0)

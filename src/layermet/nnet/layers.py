@@ -4,12 +4,20 @@ Activations are float64 arrays in (N, C, H, W) order (dense layers use
 (N, F)). Every layer caches what its backward pass needs during a train-mode
 forward; backward returns the input gradient and fills per-parameter
 gradients retrievable via `grads()`.
+
+Convolution is unrolled into one matrix product (Chellapilla et al., 2006).
+The patch matrix is channel-major, (C*k*k, N*H*W): row (c, i, j) holds the
+padded input shifted by (i, j) for channel c, so it is filled by k*k slice
+copies and the weight matrix (out, C*k*k) multiplies it directly. Each conv
+returns its (out, N*H*W) product as a contiguous NCHW array. Handing the
+next layer the (C, N, H, W) view instead would save that copy, but batchnorm
+then reduces its mean, variance and sums in a different memory order and
+every gradient of the segmenter changes in the last bits.
 """
 
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -18,12 +26,20 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Patch matrix (N*H*W, C*k*k) of same-padded k x k windows."""
+    """Channel-major patch matrix (C*k*k, N*H*W) of same-padded k x k windows."""
     n, c, h, w = x.shape
     p = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (N,C,H,W,k,k) view
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * h * w, c * k * k)
+    col = np.empty((c, k, k, n, h, w))
+    for i in range(k):
+        for j in range(k):
+            col[:, i, j] = xp[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
+    return col.reshape(c * k * k, n * h * w)
+
+
+def _to_nchw(y: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """Contiguous (N, C, H, W) copy of a (C, N*H*W) product."""
+    return np.ascontiguousarray(y.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
 
 class Layer:
@@ -72,22 +88,25 @@ class Conv2d(Layer):
         col = _im2col(x, self.ksize)
         if train:
             self._col, self._shape = col, x.shape
-        y = col @ self.weight.reshape(self.out_ch, -1).T
-        y = np.ascontiguousarray(y.reshape(n, h, w, self.out_ch).transpose(0, 3, 1, 2))
-        return y + self.bias[None, :, None, None]
+        y = self.weight.reshape(self.out_ch, -1) @ col
+        y += self.bias[:, None]
+        return _to_nchw(y, n, h, w)
 
-    def backward(self, dy):
+    def backward_params(self, dy):
+        """Fill `dweight` and `dbias` from the output gradient; no input gradient."""
         if self._col is None:
             raise RuntimeError("conv2d backward without a cached train-mode forward")
         n, _, h, w = self._shape
         dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * w, self.out_ch)
         self.dbias[:] = dy_mat.sum(axis=0)
-        self.dweight[:] = (dy_mat.T @ self._col).reshape(self.weight.shape)
+        self.dweight[:] = (dy_mat.T @ self._col.T).reshape(self.weight.shape)
+
+    def backward(self, dy):
+        self.backward_params(dy)
+        n, _, h, w = self._shape
         # Input gradient is the correlation of dy with the flipped, transposed kernel.
         w_rev = self.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dcol = _im2col(dy, self.ksize)
-        dx = dcol @ w_rev.reshape(self.in_ch, -1).T
-        return np.ascontiguousarray(dx.reshape(n, h, w, self.in_ch).transpose(0, 3, 1, 2))
+        return _to_nchw(w_rev.reshape(self.in_ch, -1) @ _im2col(dy, self.ksize), n, h, w)
 
 
 class ReLU(Layer):

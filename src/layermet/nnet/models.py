@@ -71,10 +71,15 @@ class Model:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dy: np.ndarray) -> None:
+        """Fill every layer's parameter gradients from the output gradient `dy`.
+
+        Nothing reads the gradient of the net's input, so the first layer, a
+        `Conv2d` in both builders, computes its parameter gradients only.
+        """
+        for layer in reversed(self.layers[1:]):
             dy = layer.backward(dy)
-        return dy
+        self.layers[0].backward_params(dy)
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]

@@ -21,6 +21,9 @@ from .postprocess import label_components
 CURVE_OVERSAMPLE = 4
 MIN_BRIGHTNESS_GAP = 0.1
 MAX_TILT_DEG = 35.0
+# Elements of the (columns, rows, curve samples) distance block that
+# `_band_mask` evaluates at once: 16 MB of float64.
+BLOCK_ELEMENTS = 2**21
 
 
 class SynthSpecError(ValueError):
@@ -133,9 +136,13 @@ def _band_mask(spec: SynthSpec) -> np.ndarray:
 
     du = u[idx] - cx[:, None]  # (w, k)
     dv = cu[idx]  # (w, k)
-    d2 = du[:, None, :] ** 2 + (dv[:, None, :] - cy[None, :, None]) ** 2
-    dist2 = d2.min(axis=2)  # (w, h)
-    return (dist2.T <= (spec.thickness / 2.0) ** 2)
+    mask = np.empty((h, w), dtype=bool)
+    step = max(1, BLOCK_ELEMENTS // (h * offsets.size))
+    for lo in range(0, w, step):
+        block = slice(lo, lo + step)
+        d2 = du[block, None, :] ** 2 + (dv[block, None, :] - cy[None, :, None]) ** 2
+        mask[:, block] = (d2.min(axis=2) <= (spec.thickness / 2.0) ** 2).T
+    return mask
 
 
 def generate(spec: SynthSpec) -> SynthSample:

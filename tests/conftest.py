@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from numpy.lib.stride_tricks import sliding_window_view
 
 from layermet.image import BinaryMask
 from layermet.measure import (
@@ -113,6 +114,36 @@ def reference_orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> li
     if len(samples) < MIN_SAMPLES:
         raise InsufficientCoverageError(f"only {len(samples)} perpendicular samples")
     return samples
+
+
+def _row_major_im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Patch matrix (N*H*W, C*k*k) of same-padded k x k windows."""
+    n, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (N,C,H,W,k,k) view
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * h * w, c * k * k)
+
+
+def reference_conv2d(weight: np.ndarray, bias: np.ndarray, x: np.ndarray, dy: np.ndarray):
+    """Row-major im2col convolution that `layers.Conv2d` must reproduce.
+
+    Returns (output, dweight, dbias, input gradient) for a same-padded
+    stride-1 convolution of `x` and output gradient `dy`.
+    """
+    out_ch, in_ch, k, _ = weight.shape
+    n, _, h, w = x.shape
+    col = _row_major_im2col(x, k)
+    y = col @ weight.reshape(out_ch, -1).T
+    y = np.ascontiguousarray(y.reshape(n, h, w, out_ch).transpose(0, 3, 1, 2))
+    y = y + bias[None, :, None, None]
+    dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * w, out_ch)
+    dbias = dy_mat.sum(axis=0)
+    dweight = (dy_mat.T @ col).reshape(weight.shape)
+    w_rev = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    dx = _row_major_im2col(dy, k) @ w_rev.reshape(in_ch, -1).T
+    dx = np.ascontiguousarray(dx.reshape(n, h, w, in_ch).transpose(0, 3, 1, 2))
+    return y, dweight, dbias, dx
 
 
 @pytest.fixture

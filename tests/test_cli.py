@@ -119,6 +119,16 @@ class TestTrainCommands:
         assert rows[0] == "epoch,loss"
         assert len(rows) - 1 == 2
 
+    @pytest.mark.parametrize("command", ["train-seg", "train-rcnn"])
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+    def test_non_positive_or_non_finite_lr_is_usage_error(self, tmp_path, data_dir, capsys, command, lr):
+        model_path = tmp_path / "model.lmet"
+        args = [command, "--data", str(data_dir), "--epochs", "1", "--lr", lr, "--out", str(model_path)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "positive finite" in captured.err and captured.out == ""
+        assert not model_path.exists()
+
     def test_train_seg_zero_epochs_emits_initialized_model(self, tmp_path, data_dir):
         model_path = tmp_path / "seg0.lmet"
         code = main(

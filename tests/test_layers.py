@@ -4,7 +4,19 @@ import pytest
 from layermet.nnet import gradcheck
 from layermet.nnet.gradcheck import ALL_KINDS, LOSSES, TOLERANCE, check_layer, run_all
 from layermet.nnet.layers import BatchNorm2d, Conv2d, Dense, Dropout, MaxPool2, ReLU, Upsample2
-from layermet.nnet.models import softmax
+from layermet.nnet.models import build_rcnn, build_segmenter, softmax
+
+from conftest import reference_conv2d
+
+
+def _conv_cases(model, x):
+    """(conv, its input) for every conv of `model` on a train-mode forward of `x`."""
+    cases = []
+    for layer in model.layers:
+        if isinstance(layer, Conv2d):
+            cases.append((layer, x))
+        x = layer.forward(x, train=True)
+    return cases
 
 
 class TestForwardSemantics:
@@ -57,6 +69,31 @@ class TestForwardSemantics:
         assert np.allclose(dense.dweight, x.T @ g)
         assert np.allclose(dense.dbias, g.sum(axis=0))
         assert np.allclose(dx, g @ dense.weight.T)
+
+    @pytest.mark.parametrize("net", ("segmenter", "rcnn", "gradcheck"))
+    def test_conv_equals_row_major_reference(self, net, rng):
+        # the training shapes of the acceptance criteria, and gradcheck's 3->4 case
+        if net == "segmenter":
+            cases = _conv_cases(build_segmenter(1), rng.uniform(size=(4, 1, 48, 80)))
+        elif net == "rcnn":
+            cases = _conv_cases(build_rcnn(1), (rng.uniform(size=(4, 1, 64, 256)) > 0.5) * 1.0)
+        else:
+            cases = [(Conv2d(3, 4, 3, rng), rng.normal(size=(2, 3, 6, 6)))]
+        for conv, x in cases:
+            y = conv.forward(x, train=True)
+            dy = rng.normal(size=y.shape)
+            dx = conv.backward(dy)
+            ref_y, ref_dweight, ref_dbias, ref_dx = reference_conv2d(conv.weight, conv.bias, x, dy)
+            assert np.array_equal(y, ref_y)
+            assert np.array_equal(conv.dweight, ref_dweight)
+            assert np.array_equal(conv.dbias, ref_dbias)
+            assert dx.flags.c_contiguous and y.flags.c_contiguous
+            if conv.in_ch >= 8:
+                assert np.array_equal(dx, ref_dx)
+            else:
+                # with fewer than 8 output rows the BLAS product of the new
+                # layout sums in another order (measured <= 4.2e-16 relative)
+                assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         conv = Conv2d(2, 3, 3, rng)

@@ -7,17 +7,21 @@ from layermet.image import BinaryMask, GrayImage
 from layermet.metrics import dice
 from layermet.nnet import (
     ArchitectureMismatchError,
+    Conv2d,
     ModelFormatError,
     TrainConfig,
     build_rcnn,
     build_segmenter,
+    layers,
     load_model,
+    mse_loss,
     predict_mask,
     predict_thickness,
     resample_mask_nearest,
     save_model,
     segment_image,
     softmax,
+    softmax_cross_entropy,
     train_rcnn,
     train_segmenter,
 )
@@ -197,6 +201,28 @@ class TestRcnn:
         _, _, model, _ = constant_rcnn_run
         with pytest.raises(ValueError, match="empty"):
             predict_thickness(model, BinaryMask(np.zeros((8, 8), dtype=bool)))
+
+
+@pytest.mark.parametrize("arch", ("segmenter", "rcnn"))
+def test_backward_skips_the_input_gradient(arch, monkeypatch, rng):
+    # a train step builds one patch matrix per conv forward and one per conv
+    # input gradient; nothing reads the gradient of the net's input
+    calls = []
+    im2col = layers._im2col
+    monkeypatch.setattr(layers, "_im2col", lambda x, k: calls.append(k) or im2col(x, k))
+    if arch == "segmenter":
+        model = build_segmenter(0)
+        loss, target = softmax_cross_entropy, rng.integers(0, 2, size=(2, 32, 48))
+        x = rng.uniform(size=(2, 1, 32, 48))
+    else:
+        model = build_rcnn(0)
+        loss, target = mse_loss, rng.uniform(size=(2, 1))
+        x = rng.uniform(size=(2, 1, 64, 256))
+    _, dout = loss(model.forward(x, train=True), target)
+    model.backward(dout)
+    convs = sum(isinstance(layer, Conv2d) for layer in model.layers)
+    assert len(calls) == 2 * convs - 1
+    assert all(np.isfinite(g).all() for g in model.grads())
 
 
 class TestSerialization:

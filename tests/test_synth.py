@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from layermet import synth
 from layermet.image import write_pgm
 from layermet.postprocess import label_components
 from layermet.synth import (
@@ -95,6 +96,13 @@ class TestGenerate:
         spec = SynthSpec(width=48, height=64, thickness=10, noise=0.4, blur_radius=2, seed=3)
         img = generate(spec).image
         assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
+
+    @pytest.mark.parametrize("budget", [1, 5000])
+    def test_mask_independent_of_block_size(self, monkeypatch, budget):
+        spec = SynthSpec(width=90, height=70, thickness=11.3, tilt_deg=-27, curvature=2.5)
+        whole = generate(spec).truth_mask.cells
+        monkeypatch.setattr(synth, "BLOCK_ELEMENTS", budget)
+        assert np.array_equal(generate(spec).truth_mask.cells, whole)
 
     def test_true_thickness_recorded(self):
         assert generate(SynthSpec(width=32, height=64, thickness=13.5)).true_thickness == 13.5
