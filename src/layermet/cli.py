@@ -29,6 +29,7 @@ from .image import (
     render_overlay,
 )
 from .nnet import (
+    TOLERANCE,
     ArchitectureMismatchError,
     DivergenceError,
     ModelFormatError,
@@ -48,6 +49,10 @@ EXIT_USAGE = 1
 EXIT_BAD_INPUT = 2
 EXIT_PIPELINE = 3
 
+# Largest `synth --width`/`--height`, checked before anything is allocated:
+# generating one 4096x4096 sample peaks near 1 GB of memory.
+MAX_SYNTH_SIDE = 4096
+
 _INPUT_ERRORS = (
     PgmError,
     MaskValueError,
@@ -60,17 +65,6 @@ _INPUT_ERRORS = (
     ValueError,
 )
 _PIPELINE_ERRORS = (measure.MeasureError, EmptyPredictionError, DivergenceError)
-
-
-class _UsageExit(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageExit()
 
 
 def _range_pair(text: str) -> tuple[float, float]:
@@ -97,6 +91,20 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _image_side(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_SYNTH_SIDE:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_SYNTH_SIDE}, got {value}")
+    return value
+
+
 def write_ppm(rgb: RgbImage) -> bytes:
     header = f"P6\n{rgb.width} {rgb.height}\n255\n".encode("ascii")
     return header + rgb.pixels.tobytes()
@@ -120,47 +128,34 @@ def write_png(rgb: RgbImage) -> bytes:
     )
 
 
-def _write_overlay(path: Path, rgb: RgbImage) -> None:
-    data = write_png(rgb) if path.suffix.lower() == ".png" else write_ppm(rgb)
-    path.write_bytes(data)
+def _parse_image(data: bytes) -> GrayImage:
+    return normalize(read_pgm(data))
 
 
-def _load_mask(path: Path) -> BinaryMask:
-    return pgm_to_mask(path.read_bytes())
+def _scan(folder: Path, pattern: str) -> list[Path]:
+    """The files in `folder` that match `pattern`, sorted by name."""
+    if not folder.is_dir():
+        raise NotADirectoryError(f"data directory not found: {folder}")
+    paths = sorted(folder.glob(pattern))
+    if not paths:
+        raise ValueError(f"no {pattern} files in {folder}")
+    return paths
 
 
-def _load_image(path: Path) -> GrayImage:
-    return normalize(read_pgm(path.read_bytes()))
-
-
-def _load_pairs(data_dir: Path) -> list[tuple[str, GrayImage, BinaryMask]]:
-    """Load img_/mask_ pairs from a generated directory, listing corrupt files."""
-    if not data_dir.is_dir():
-        raise NotADirectoryError(f"data directory not found: {data_dir}")
-    images = sorted(data_dir.glob("img_*.pgm"))
-    if not images:
-        raise ValueError(f"no img_*.pgm files in {data_dir}")
-    pairs = []
+def _read_all(jobs) -> list:
+    """`parse(path.read_bytes())` for each `(path, parse)` job; one ValueError lists every bad file."""
+    results = []
     bad = []
-    for img_path in images:
-        mask_path = data_dir / img_path.name.replace("img_", "mask_", 1)
+    for path, parse in jobs:
         try:
-            image = _load_image(img_path)
-        except (PgmError, ValueError) as exc:
-            bad.append(f"{img_path.name}: {exc}")
-            continue
-        try:
-            mask = _load_mask(mask_path)
+            results.append(parse(path.read_bytes()))
         except FileNotFoundError:
-            bad.append(f"{mask_path.name}: missing")
-            continue
-        except (PgmError, MaskValueError, ValueError) as exc:
-            bad.append(f"{mask_path.name}: {exc}")
-            continue
-        pairs.append((img_path.name, image, mask))
+            bad.append(f"{path}: missing")
+        except ValueError as exc:
+            bad.append(f"{path}: {exc}")
     if bad:
         raise ValueError("corrupt data files:\n  " + "\n  ".join(bad))
-    return pairs
+    return results
 
 
 def _train_config(args) -> TrainConfig:
@@ -196,30 +191,23 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_seg(args) -> int:
-    pairs = _load_pairs(Path(args.data))
-    model, losses = train_segmenter([(img, m) for _, img, m in pairs], _train_config(args))
+    jobs = []
+    for path in _scan(Path(args.data), "img_*.pgm"):
+        jobs += [(path, _parse_image), (path.with_name(path.name.replace("img_", "mask_", 1)), pgm_to_mask)]
+    loaded = _read_all(jobs)
+    pairs = list(zip(loaded[::2], loaded[1::2]))
+    model, losses = train_segmenter(pairs, _train_config(args))
     return _save_trained(args, model, losses, f"segmenter on {len(pairs)} samples")
 
 
+def _parse_target(data: bytes) -> tuple[BinaryMask, float]:
+    """A mask and its orthogonal mean thickness, the regressor's target."""
+    mask = pgm_to_mask(data)
+    return mask, measure.orthogonal_report(mask).mean
+
+
 def cmd_train_rcnn(args) -> int:
-    data_dir = Path(args.data)
-    if not data_dir.is_dir():
-        raise NotADirectoryError(f"data directory not found: {data_dir}")
-    mask_paths = sorted(data_dir.glob("mask_*.pgm"))
-    if not mask_paths:
-        raise ValueError(f"no mask_*.pgm files in {data_dir}")
-    data = []
-    bad = []
-    for path in mask_paths:
-        try:
-            mask = _load_mask(path)
-            target = measure.orthogonal_report(mask).mean
-        except (PgmError, MaskValueError, measure.MeasureError, ValueError) as exc:
-            bad.append(f"{path.name}: {exc}")
-            continue
-        data.append((mask, target))
-    if bad:
-        raise ValueError("corrupt data files:\n  " + "\n  ".join(bad))
+    data = _read_all((path, _parse_target) for path in _scan(Path(args.data), "mask_*.pgm"))
     model, losses = train_rcnn(data, _train_config(args))
     return _save_trained(args, model, losses, f"regressor on {len(data)} masks")
 
@@ -228,7 +216,7 @@ def cmd_segment(args) -> int:
     model = load_model(Path(args.model).read_bytes())
     if model.arch != SEG_ARCH:
         raise ArchitectureMismatchError("model file is not a segmenter", 8)
-    image = _load_image(Path(args.image))
+    image = _parse_image(Path(args.image).read_bytes())
     mask = segment_image(model, image)
     if not args.no_postprocess:
         mask = postprocess(mask)  # raises EmptyPredictionError on empty prediction
@@ -242,12 +230,9 @@ def cmd_segment(args) -> int:
 
 def cmd_measure(args) -> int:
     mask_path = Path(args.mask)
-    mask = _load_mask(mask_path)
-    method = args.method.replace("-", "_")
-    if method == "orthogonal":
-        report = measure.orthogonal_report(mask, scale=args.scale)
-    else:
-        report = measure.three_line_report(mask, scale=args.scale)
+    mask = pgm_to_mask(mask_path.read_bytes())
+    estimator = measure.orthogonal_report if args.method == "orthogonal" else measure.three_line_report
+    report = estimator(mask, scale=args.scale)
     if not args.quiet:
         print(f"MT={report.mean_scaled:.4f} SD={report.sd_scaled:.4f} n={report.n}")
     if args.json:
@@ -255,32 +240,24 @@ def cmd_measure(args) -> int:
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
     if args.overlay:
         if args.image:
-            image = _load_image(Path(args.image))
+            image = _parse_image(Path(args.image).read_bytes())
         else:
             image = GrayImage(mask.cells.astype(np.float64))
         caption = f"{mask_path.name} MT={report.mean_scaled:.2f} SD={report.sd_scaled:.2f}"
         rgb = render_overlay(image, mask, report=report, caption=caption)
-        _write_overlay(Path(args.overlay), rgb)
+        overlay = Path(args.overlay)
+        overlay.write_bytes(write_png(rgb) if overlay.suffix.lower() == ".png" else write_ppm(rgb))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     pred_dir, truth_dir = Path(args.pred_dir), Path(args.truth_dir)
-    for d in (pred_dir, truth_dir):
-        if not d.is_dir():
-            raise NotADirectoryError(f"directory not found: {d}")
-    pred_names = {p.name for p in pred_dir.glob("mask_*.pgm")}
-    truth_names = {p.name for p in truth_dir.glob("mask_*.pgm")}
-    unmatched = sorted(pred_names ^ truth_names)
+    names = [p.name for p in _scan(pred_dir, "mask_*.pgm")]
+    unmatched = sorted(set(names) ^ {p.name for p in _scan(truth_dir, "mask_*.pgm")})
     if unmatched:
         raise ValueError("unmatched files:\n  " + "\n  ".join(unmatched))
-    if not pred_names:
-        raise ValueError("no mask_*.pgm files to evaluate")
-    scored = []
-    for name in sorted(pred_names):
-        truth = _load_mask(truth_dir / name)
-        pred = _load_mask(pred_dir / name)
-        scored.append((name, truth, pred))
+    masks = _read_all((folder / name, pgm_to_mask) for name in names for folder in (truth_dir, pred_dir))
+    scored = list(zip(names, masks[::2], masks[1::2]))
     report = metrics.build_eval_report(scored)
     if not args.quiet:
         print(f"dice={report.mean_dice:.4f} iou={report.mean_iou:.4f} n={len(scored)}")
@@ -290,8 +267,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .nnet.gradcheck import TOLERANCE
-
     errors = run_all(seed=args.seed)
     worst = max(errors.values())
     for kind, err in errors.items():
@@ -303,16 +278,16 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="layermet", description=__doc__.splitlines()[0])
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="layermet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic layered micrographs")
-    p.add_argument("--n", type=int, required=True, help="number of samples")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of samples")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--width", type=int, default=96)
-    p.add_argument("--height", type=int, default=64)
+    p.add_argument("--width", type=_image_side, default=96)
+    p.add_argument("--height", type=_image_side, default=64)
     p.add_argument("--thickness", type=_range_pair, default=(8.0, 16.0), metavar="A:B")
     p.add_argument("--tilt", type=_range_pair, default=(-18.0, 18.0), metavar="A:B")
     p.add_argument("--curvature", type=_range_pair, default=(0.0, 2.0), metavar="A:B")
@@ -320,27 +295,20 @@ def build_parser() -> _Parser:
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train-seg", help="train the segmenter on a generated directory")
-    p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=_nonneg_int, required=True)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--lr", type=_positive_float, default=0.1)
-    p.add_argument("--out", required=True, help="weight file path")
-    p.add_argument("--curve", default=None, help="loss CSV path (default <out>.loss.csv)")
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_train_seg)
-
-    p = sub.add_parser("train-rcnn", help="train the thickness regressor on mask files")
-    p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=_nonneg_int, required=True)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--lr", type=_positive_float, default=1e-4)
-    p.add_argument("--out", required=True)
-    p.add_argument("--curve", default=None)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_train_rcnn)
+    for name, func, lr, text in (
+        ("train-seg", cmd_train_seg, 0.1, "train the segmenter on a generated directory"),
+        ("train-rcnn", cmd_train_rcnn, 1e-4, "train the thickness regressor on mask files"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--data", required=True)
+        p.add_argument("--epochs", type=_nonneg_int, required=True)
+        p.add_argument("--batch", type=_positive_int, default=4)
+        p.add_argument("--lr", type=_positive_float, default=lr)
+        p.add_argument("--out", required=True, help="weight file path")
+        p.add_argument("--curve", default=None, help="loss CSV path (default <out>.loss.csv)")
+        p.add_argument("--seed", type=_nonneg_int, default=0)
+        p.add_argument("--quiet", action="store_true")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("segment", help="predict a layer mask for one image")
     p.add_argument("--model", required=True)
@@ -374,11 +342,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageExit:
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits with 0 after --help and 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except _PIPELINE_ERRORS as exc:

@@ -43,7 +43,7 @@ def _layer_case(kind: str, rng: np.random.Generator):
     if kind == "upsample2":
         return Upsample2(), rng.normal(size=(2, 3, 4, 4))
     if kind == "dropout":
-        return Dropout(0.25), rng.normal(size=(2, 3, 4, 4))
+        return Dropout(0.25, rng), rng.normal(size=(2, 3, 4, 4))
     if kind == "flatten":
         return Flatten(), rng.normal(size=(2, 3, 4, 4))
     if kind == "dense":

@@ -19,6 +19,9 @@ import math
 
 import numpy as np
 
+BN_EPS = 1e-5  # added to the variance before its square root
+BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
+
 
 def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     limit = math.sqrt(6.0 / fan_in)
@@ -63,10 +66,9 @@ class Conv2d(Layer):
 
     kind = "conv2d"
 
-    def __init__(self, in_ch: int, out_ch: int, ksize: int = 3, rng: np.random.Generator | None = None):
+    def __init__(self, in_ch: int, out_ch: int, ksize: int, rng: np.random.Generator):
         if ksize % 2 != 1:
             raise ValueError(f"kernel size must be odd, got {ksize}")
-        rng = rng or np.random.default_rng(0)
         self.in_ch, self.out_ch, self.ksize = in_ch, out_ch, ksize
         self.weight = he_uniform(rng, (out_ch, in_ch, ksize, ksize), in_ch * ksize * ksize)
         self.bias = np.zeros(out_ch)
@@ -128,12 +130,8 @@ class BatchNorm2d(Layer):
 
     kind = "batchnorm"
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
@@ -154,11 +152,11 @@ class BatchNorm2d(Layer):
         if train:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:
             mean, var = self.running_mean, self.running_var
-        ivar = 1.0 / np.sqrt(var + self.eps)
+        ivar = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean[None, :, None, None]) * ivar[None, :, None, None]
         if train:
             self._cache = (xhat, ivar, x.shape[0] * x.shape[2] * x.shape[3])
@@ -220,11 +218,11 @@ class Dropout(Layer):
 
     kind = "dropout"
 
-    def __init__(self, p: float, rng: np.random.Generator | None = None):
+    def __init__(self, p: float, rng: np.random.Generator):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {p}")
         self.p = p
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng
         self._mask = None
 
     def forward(self, x, train=False):
@@ -257,8 +255,7 @@ class Flatten(Layer):
 class Dense(Layer):
     kind = "dense"
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.n_in, self.n_out = n_in, n_out
         self.weight = he_uniform(rng, (n_in, n_out), n_in)
         self.bias = np.zeros(n_out)

@@ -29,6 +29,8 @@ RCNN_BLOCKS = ((1, 8, 8, 8), (8, 16, 16, 16))
 RCNN_DROPOUT = 0.25
 RCNN_DENSE = (64, 16)
 
+SGD_MOMENTUM = 0.9
+
 
 class DivergenceError(RuntimeError):
     """Training loss became non-finite; `epoch` is where it happened."""
@@ -43,7 +45,6 @@ class TrainConfig:
     batch_size: int = 4
     epochs: int = 30
     learning_rate: float = 0.1
-    momentum: float = 0.9
     seed: int = 0
 
     def validate(self) -> None:
@@ -144,9 +145,9 @@ def build_rcnn(seed: int = 0) -> Model:
     return Model(RCNN_ARCH, layers)
 
 
-def _sgd_step(params, grads, velocity, lr: float, momentum: float) -> None:
+def _sgd_step(params, grads, velocity, lr: float) -> None:
     for p, g, v in zip(params, grads, velocity):
-        v *= momentum
+        v *= SGD_MOMENTUM
         v += g
         p -= lr * v
 
@@ -177,7 +178,7 @@ def _run_epochs(model: Model, x, y, cfg: TrainConfig, loss_fn) -> list[float]:
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
             model.backward(dout)
-            _sgd_step(model.params(), model.grads(), velocity, cfg.learning_rate, cfg.momentum)
+            _sgd_step(model.params(), model.grads(), velocity, cfg.learning_rate)
             total += loss * idx.size
             seen += idx.size
         losses.append(total / seen)

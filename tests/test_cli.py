@@ -5,10 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from layermet.cli import main
+from layermet.cli import MAX_SYNTH_SIDE, main
 from layermet.image import BinaryMask, mask_to_pgm, pgm_to_mask, write_pgm
 from layermet.nnet import build_rcnn, build_segmenter, load_model, save_model
-from layermet.nnet.layers import BatchNorm2d, Conv2d, Dense
+from layermet.nnet.layers import BN_EPS, BatchNorm2d, Conv2d, Dense
 from layermet.postprocess import label_components
 from layermet.synth import SynthSpec, generate
 
@@ -30,7 +30,7 @@ def craft_threshold_segmenter(gain=8.0, threshold=0.5):
             layer.weight[0, 0, layer.ksize // 2, layer.ksize // 2] = 1.0
         elif isinstance(layer, BatchNorm2d):
             layer.running_mean[:] = 0.0
-            layer.running_var[:] = 1.0 - layer.eps
+            layer.running_var[:] = 1.0 - BN_EPS
     head = model.layers[-1]
     head.weight[:] = 0.0
     head.bias[:] = (0.0, -gain * threshold)
@@ -163,6 +163,23 @@ class TestTrainCommands:
         code = main(["train-seg", "--data", str(data_dir), "--epochs", "1", "--out", str(model_path)])
         assert code == 2
         assert "img_0003.pgm" in capsys.readouterr().err
+
+    def test_train_seg_corrupt_and_missing_masks_listed_by_path(self, tmp_path, data_dir, capsys):
+        (data_dir / "mask_0002.pgm").write_bytes(b"XX\n4 4\n255\n")
+        (data_dir / "mask_0005.pgm").unlink()
+        code = main(["train-seg", "--data", str(data_dir), "--epochs", "1", "--out", str(tmp_path / "seg.lmet")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{data_dir / 'mask_0002.pgm'}: unsupported magic" in err
+        assert f"{data_dir / 'mask_0005.pgm'}: missing" in err
+        assert not (tmp_path / "seg.lmet").exists()
+
+    def test_train_rcnn_unmeasurable_mask_listed(self, tmp_path, data_dir, capsys):
+        (data_dir / "mask_0001.pgm").write_bytes(mask_to_pgm(BinaryMask(np.zeros((32, 32), dtype=bool))))
+        code = main(["train-rcnn", "--data", str(data_dir), "--epochs", "1", "--out", str(tmp_path / "r.lmet")])
+        assert code == 2
+        assert "mask_0001.pgm: " in capsys.readouterr().err
+        assert not (tmp_path / "r.lmet").exists()
 
     def test_train_rcnn_tiny(self, tmp_path):
         out = tmp_path / "rdata"
@@ -392,6 +409,21 @@ class TestEvalCommand:
         assert main(["eval", "--pred-dir", str(pred), "--truth-dir", str(truth)]) == 2
         assert "mask_0001.pgm" in capsys.readouterr().err
 
+    def test_corrupt_truth_and_prediction_listed_by_path(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred", tmp_path / "truth"
+        pred.mkdir(), truth.mkdir()
+        good = mask_to_pgm(BinaryMask(np.ones((4, 4), dtype=bool)))
+        for folder in (pred, truth):
+            for i in range(3):
+                (folder / f"mask_{i:04d}.pgm").write_bytes(good)
+        (truth / "mask_0000.pgm").write_bytes(b"XX\n4 4\n255\n")
+        (pred / "mask_0002.pgm").write_bytes(b"P2\n2 1\n255\n0 128\n")
+        assert main(["eval", "--pred-dir", str(pred), "--truth-dir", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert f"{truth / 'mask_0000.pgm'}: unsupported magic" in err
+        assert f"{pred / 'mask_0002.pgm'}: pixel 1 has value 128" in err
+        assert str(pred / "mask_0000.pgm") not in err
+
 
 class TestGradcheckCommand:
     def test_passes_and_lists_every_kind(self, capsys):
@@ -419,3 +451,26 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["synth", "--n", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["synth", "--n", "0"],
+            ["synth", "--n", "-3"],
+            ["synth", "--n", "1", "--width", str(MAX_SYNTH_SIDE + 1)],
+            ["synth", "--n", "1", "--height", "100000"],
+            ["synth", "--n", "1", "--width", "0"],
+            ["train-seg", "--batch", "0"],
+            ["train-rcnn", "--batch", "-2"],
+        ],
+    )
+    def test_count_or_size_out_of_range_is_usage_error(self, tmp_path, capsys, args):
+        command, *flags = args
+        if command == "synth":
+            flags += ["--out", str(tmp_path / "out")]
+        else:
+            flags += ["--data", str(tmp_path), "--epochs", "1", "--out", str(tmp_path / "out")]
+        assert main([command, *flags]) == 1
+        captured = capsys.readouterr()
+        assert "error: argument" in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
