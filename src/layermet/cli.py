@@ -27,6 +27,7 @@ from .image import (
     pgm_to_mask,
     read_pgm,
     render_overlay,
+    write_pgm,
 )
 from .nnet import (
     TOLERANCE,
@@ -151,6 +152,8 @@ def _read_all(jobs) -> list:
             results.append(parse(path.read_bytes()))
         except FileNotFoundError:
             bad.append(f"{path}: missing")
+        except OSError as exc:
+            bad.append(f"{path}: {exc.strerror}")
         except ValueError as exc:
             bad.append(f"{path}: {exc}")
     if bad:
@@ -184,7 +187,26 @@ def cmd_synth(args) -> int:
         curvature=args.curvature,
         noise=args.noise,
     )
-    synth.generate_batch(args.n, ranges, seed=args.seed, out_dir=args.out)
+    ranges.validate()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for i in range(args.n):
+        spec = synth.draw_spec(ranges, args.seed, i)
+        sample = synth.generate(spec)
+        (out / f"img_{i:04d}.pgm").write_bytes(write_pgm(sample.image.to_u8()))
+        (out / f"mask_{i:04d}.pgm").write_bytes(mask_to_pgm(sample.truth_mask))
+        manifest.append(
+            {
+                "index": i,
+                "true_thickness": spec.thickness,
+                "tilt_deg": spec.tilt_deg,
+                "curvature": spec.curvature,
+                "noise": spec.noise,
+                "seed": spec.seed,
+            }
+        )
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     if not args.quiet:
         print(f"wrote {args.n} samples to {args.out}")
     return EXIT_OK

@@ -55,7 +55,6 @@ class FoldSplit:
 
     k: int
     assignment: np.ndarray  # per-sample fold index in 0..k-1
-    seed: int
 
     def fold_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == fold)
@@ -70,7 +69,7 @@ def kfold(n: int, k: int, seed: int = 0) -> FoldSplit:
     perm = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
     assignment[perm] = np.arange(n) % k
-    return FoldSplit(k=k, assignment=assignment, seed=seed)
+    return FoldSplit(k=k, assignment=assignment)
 
 
 @dataclass(frozen=True)
@@ -108,34 +107,20 @@ class EvalReport:
     per_image: tuple[ImageScore, ...]
     mean_dice: float
     mean_iou: float
-    mse: float | None = None
-    fit: ComparisonFit | None = None
 
 
-def build_eval_report(scored: list[tuple[str, BinaryMask, BinaryMask]], thickness_pairs=None) -> EvalReport:
-    """Score (id, truth, prediction) triples and aggregate by sorted id.
-
-    `thickness_pairs` is an optional (reference, predicted) series pair that
-    adds an MSE figure and a comparison fit to the report.
-    """
+def build_eval_report(scored: list[tuple[str, BinaryMask, BinaryMask]]) -> EvalReport:
+    """Score (id, truth, prediction) triples and aggregate by sorted id."""
     scores = [
         ImageScore(id=i, dice=dice(t, p), iou=iou(t, p))
         for i, t, p in sorted(scored, key=lambda item: item[0])
     ]
     if not scores:
         raise ValueError("nothing to evaluate")
-    report_mse = None
-    fit = None
-    if thickness_pairs is not None:
-        ref, pred = thickness_pairs
-        report_mse = mse(pred, ref)
-        fit = comparison_fit(ref, pred)
     return EvalReport(
         per_image=tuple(scores),
         mean_dice=float(np.mean([s.dice for s in scores])),
         mean_iou=float(np.mean([s.iou for s in scores])),
-        mse=report_mse,
-        fit=fit,
     )
 
 
@@ -145,8 +130,4 @@ def eval_report_to_dict(report: EvalReport) -> dict:
         "per_image": [{"id": s.id, "dice": s.dice, "iou": s.iou} for s in report.per_image],
         "mean_dice": report.mean_dice,
         "mean_iou": report.mean_iou,
-        "mse": report.mse,
-        "fit": None
-        if report.fit is None
-        else {"slope": report.fit.slope, "intercept": report.fit.intercept, "r2": report.fit.r2},
     }

@@ -52,8 +52,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 class Model:
@@ -276,10 +276,10 @@ def _recalibrate_output(model: Model, x: np.ndarray, y: np.ndarray, batch_size: 
     head.bias += offset
 
 
-def predict_thickness(model: Model, mask: BinaryMask, scale: float = 1.0) -> float:
-    """Predicted mean thickness, rescaled to source pixels then by nm-per-px."""
+def predict_thickness(model: Model, mask: BinaryMask) -> float:
+    """Predicted mean thickness in source pixels."""
     if mask.area == 0:
         raise ValueError("cannot predict thickness of an empty mask")
     x = resample_mask_nearest(mask, *RCNN_INPUT)[None, None, :, :]
     out = model.forward(x, train=False)
-    return float(out[0, 0]) * (mask.height / RCNN_INPUT[0]) * scale
+    return float(out[0, 0]) * (mask.height / RCNN_INPUT[0])

@@ -7,14 +7,12 @@ perpendicular thickness is known in closed form and serves as the measurement
 oracle for the whole pipeline.
 """
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .image import BinaryMask, GrayImage, mask_to_pgm, write_pgm
+from .image import BinaryMask, GrayImage
 from .postprocess import label_components
 
 # Centerline is sampled at 4x column resolution for the distance test.
@@ -24,6 +22,11 @@ MAX_TILT_DEG = 35.0
 # Elements of the (columns, rows, curve samples) distance block that
 # `_band_mask` evaluates at once: 16 MB of float64.
 BLOCK_ELEMENTS = 2**21
+# Brightness ranges `draw_spec` draws from; the layer's minimum clears both
+# darker bands' maxima by more than MIN_BRIGHTNESS_GAP.
+LAYER_BRIGHTNESS = (0.75, 0.95)
+UPPER_BRIGHTNESS = (0.15, 0.45)
+LOWER_BRIGHTNESS = (0.15, 0.45)
 
 
 class SynthSpecError(ValueError):
@@ -183,22 +186,10 @@ class SynthRanges:
     tilt_deg: tuple[float, float] = (-18.0, 18.0)
     curvature: tuple[float, float] = (0.0, 2.0)
     noise: tuple[float, float] = (0.0, 0.05)
-    layer_brightness: tuple[float, float] = (0.75, 0.95)
-    upper_brightness: tuple[float, float] = (0.15, 0.45)
-    lower_brightness: tuple[float, float] = (0.15, 0.45)
     blur_radius: tuple[int, int] = (0, 1)
 
     def validate(self) -> None:
-        for name in (
-            "thickness",
-            "tilt_deg",
-            "curvature",
-            "noise",
-            "layer_brightness",
-            "upper_brightness",
-            "lower_brightness",
-            "blur_radius",
-        ):
+        for name in ("thickness", "tilt_deg", "curvature", "noise", "blur_radius"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise InfeasibleRangesError(f"{name} range [{lo}, {hi}] is inverted")
@@ -212,11 +203,6 @@ class SynthRanges:
             )
         if max(abs(self.tilt_deg[0]), abs(self.tilt_deg[1])) > MAX_TILT_DEG:
             raise InfeasibleRangesError(f"tilt range exceeds +-{MAX_TILT_DEG} deg")
-        gap_floor = max(self.upper_brightness[1], self.lower_brightness[1]) + MIN_BRIGHTNESS_GAP
-        if self.layer_brightness[0] <= gap_floor:
-            raise InfeasibleRangesError(
-                f"layer brightness minimum {self.layer_brightness[0]} must exceed {gap_floor}"
-            )
         if self.noise[0] < 0 or self.blur_radius[0] < 0:
             raise InfeasibleRangesError("noise and blur_radius must be >= 0")
         # Band must stay inside the frame at the extreme tilt and curvature.
@@ -228,16 +214,16 @@ class SynthRanges:
             )
 
 
-def _draw_spec(ranges: SynthRanges, seed: int, index: int) -> SynthSpec:
+def draw_spec(ranges: SynthRanges, seed: int, index: int) -> SynthSpec:
     """Deterministic per-index parameter draw (counter-style seeding)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     t = rng.uniform(*ranges.thickness)
     tilt = rng.uniform(*ranges.tilt_deg)
     curv = rng.uniform(*ranges.curvature)
     noise = rng.uniform(*ranges.noise)
-    layer_b = rng.uniform(*ranges.layer_brightness)
-    upper_b = rng.uniform(*ranges.upper_brightness)
-    lower_b = rng.uniform(*ranges.lower_brightness)
+    layer_b = rng.uniform(*LAYER_BRIGHTNESS)
+    upper_b = rng.uniform(*UPPER_BRIGHTNESS)
+    lower_b = rng.uniform(*LOWER_BRIGHTNESS)
     blur = int(rng.integers(ranges.blur_radius[0], ranges.blur_radius[1] + 1))
     sample_seed = int(rng.integers(0, 2**62))
     return SynthSpec(
@@ -255,37 +241,10 @@ def _draw_spec(ranges: SynthRanges, seed: int, index: int) -> SynthSpec:
     )
 
 
-def generate_batch(n: int, ranges: SynthRanges | None = None, seed: int = 0, out_dir=None) -> list[SynthSample]:
-    """Generate `n` samples with parameters drawn uniformly from `ranges`.
-
-    When `out_dir` is given, writes img_%04d.pgm / mask_%04d.pgm pairs plus a
-    manifest.json listing the drawn parameters per index.
-    """
+def generate_batch(n: int, ranges: SynthRanges | None = None, seed: int = 0) -> list[SynthSample]:
+    """Generate `n` samples with parameters drawn uniformly from `ranges`."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     ranges = ranges or SynthRanges()
     ranges.validate()
-    samples = []
-    manifest = []
-    for i in range(n):
-        spec = _draw_spec(ranges, seed, i)
-        sample = generate(spec)
-        samples.append(sample)
-        manifest.append(
-            {
-                "index": i,
-                "true_thickness": spec.thickness,
-                "tilt_deg": spec.tilt_deg,
-                "curvature": spec.curvature,
-                "noise": spec.noise,
-                "seed": spec.seed,
-            }
-        )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for i, sample in enumerate(samples):
-            (out / f"img_{i:04d}.pgm").write_bytes(write_pgm(sample.image.to_u8()))
-            (out / f"mask_{i:04d}.pgm").write_bytes(mask_to_pgm(sample.truth_mask))
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    return samples
+    return [generate(draw_spec(ranges, seed, i)) for i in range(n)]

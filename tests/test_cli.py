@@ -10,7 +10,7 @@ from layermet.image import BinaryMask, mask_to_pgm, pgm_to_mask, write_pgm
 from layermet.nnet import build_rcnn, build_segmenter, load_model, save_model
 from layermet.nnet.layers import BN_EPS, BatchNorm2d, Conv2d, Dense
 from layermet.postprocess import label_components
-from layermet.synth import SynthSpec, generate
+from layermet.synth import SynthRanges, SynthSpec, generate, generate_batch
 
 from conftest import band_mask
 
@@ -70,6 +70,26 @@ class TestSynthCommand:
         main(args + [str(tmp_path / "a")])
         main(args + [str(tmp_path / "b")])
         assert _dir_digest(tmp_path / "a") == _dir_digest(tmp_path / "b")
+
+    def test_deterministic_outputs(self, tmp_path):
+        args = ["synth", "--n", "4", "--seed", "5", "--quiet", "--out"]
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        main(args + [str(dir_a)])
+        main(args + [str(dir_b)])
+        for name in ("manifest.json", "img_0003.pgm", "mask_0000.pgm"):
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_manifest_schema(self, tmp_path):
+        main(["synth", "--n", "3", "--seed", "1", "--quiet", "--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [m["index"] for m in manifest] == [0, 1, 2]
+        assert set(manifest[0]) == {"index", "true_thickness", "tilt_deg", "curvature", "noise", "seed"}
+
+    def test_written_images_match_samples(self, tmp_path):
+        main(["synth", "--n", "2", "--seed", "9", "--quiet", "--out", str(tmp_path)])
+        batch = generate_batch(2, SynthRanges(), seed=9)
+        raw = (tmp_path / "img_0001.pgm").read_bytes()
+        assert raw == write_pgm(batch[1].image.to_u8())
 
     def test_infeasible_ranges_exit_2(self, tmp_path):
         code = main(
@@ -417,10 +437,13 @@ class TestEvalCommand:
             for i in range(3):
                 (folder / f"mask_{i:04d}.pgm").write_bytes(good)
         (truth / "mask_0000.pgm").write_bytes(b"XX\n4 4\n255\n")
+        (pred / "mask_0001.pgm").unlink()
+        (pred / "mask_0001.pgm").mkdir()
         (pred / "mask_0002.pgm").write_bytes(b"P2\n2 1\n255\n0 128\n")
         assert main(["eval", "--pred-dir", str(pred), "--truth-dir", str(truth)]) == 2
         err = capsys.readouterr().err
         assert f"{truth / 'mask_0000.pgm'}: unsupported magic" in err
+        assert f"{pred / 'mask_0001.pgm'}: Is a directory" in err
         assert f"{pred / 'mask_0002.pgm'}: pixel 1 has value 128" in err
         assert str(pred / "mask_0000.pgm") not in err
 

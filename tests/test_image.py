@@ -102,6 +102,10 @@ class TestPgm:
             read_pgm(data)
         assert err.value.offset == len(data)
 
+    def test_non_uint8_grid_rejected(self):
+        with pytest.raises(ValueError, match="uint8"):
+            write_pgm(np.zeros((2, 3), dtype=np.int64))
+
     def test_truncated_header(self):
         with pytest.raises(PgmError):
             read_pgm(b"P5\n2")

@@ -148,22 +148,11 @@ class TestComparisonFit:
 class TestEvalReport:
     def test_report_and_schema(self):
         a = _mask(5)
-        report = build_eval_report(
-            [("b", a, a), ("a", a, a)],
-            thickness_pairs=([10.0, 12.0, 14.0], [10.1, 12.2, 13.9]),
-        )
+        report = build_eval_report([("b", a, a), ("a", a, a)])
         assert report.mean_dice == 1.0
         assert [s.id for s in report.per_image] == ["a", "b"]
         payload = eval_report_to_dict(report)
-        assert set(payload) == {"per_image", "mean_dice", "mean_iou", "mse", "fit"}
-        assert set(payload["fit"]) == {"slope", "intercept", "r2"}
-        assert payload["mse"] > 0
-
-    def test_without_pairs(self):
-        a = _mask(6)
-        payload = eval_report_to_dict(build_eval_report([("x", a, a)]))
-        assert payload["mse"] is None
-        assert payload["fit"] is None
+        assert set(payload) == {"per_image", "mean_dice", "mean_iou"}
 
     def test_iou_never_exceeds_dice(self):
         for seed in range(20):

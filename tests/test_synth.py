@@ -1,18 +1,16 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from layermet import synth
-from layermet.image import write_pgm
 from layermet.postprocess import label_components
 from layermet.synth import (
     InfeasibleRangesError,
     SynthRanges,
     SynthSpec,
     SynthSpecError,
-    _draw_spec,
+    draw_spec,
     generate,
     generate_batch,
 )
@@ -112,7 +110,7 @@ class TestGenerateBatch:
     def test_single_sample_matches_index_zero_draw(self):
         ranges = SynthRanges()
         batch = generate_batch(1, ranges, seed=42)
-        spec = _draw_spec(ranges, 42, 0)
+        spec = draw_spec(ranges, 42, 0)
         direct = generate(spec)
         assert batch[0].spec == spec
         assert (batch[0].image.pixels == direct.image.pixels).all()
@@ -123,25 +121,6 @@ class TestGenerateBatch:
         for sample in batch:
             assert 6.0 <= sample.true_thickness <= 16.0
             assert -10.0 <= sample.spec.tilt_deg <= 10.0
-
-    def test_deterministic_outputs(self, tmp_path):
-        ranges = SynthRanges()
-        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        generate_batch(4, ranges, seed=5, out_dir=dir_a)
-        generate_batch(4, ranges, seed=5, out_dir=dir_b)
-        for name in ("manifest.json", "img_0003.pgm", "mask_0000.pgm"):
-            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-
-    def test_manifest_schema(self, tmp_path):
-        generate_batch(3, SynthRanges(), seed=1, out_dir=tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert [m["index"] for m in manifest] == [0, 1, 2]
-        assert set(manifest[0]) == {"index", "true_thickness", "tilt_deg", "curvature", "noise", "seed"}
-
-    def test_written_images_match_samples(self, tmp_path):
-        batch = generate_batch(2, SynthRanges(), seed=9, out_dir=tmp_path)
-        raw = (tmp_path / "img_0001.pgm").read_bytes()
-        assert raw == write_pgm(batch[1].image.to_u8())
 
     def test_infeasible_ranges(self):
         with pytest.raises(InfeasibleRangesError):
