@@ -6,6 +6,10 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
   batchnorm running statistics, loss curves, `segment_image` masks of 6
   odd-sized images and `predict_thickness` of their 6 true masks);
 - synth: the folders `layermet synth` writes at seeds 0, 3 and 11;
+- measure: on the masks of acceptance criteria 1, 2 and 9 and 30 seeded
+  tilted bands with speckle, the `label_components` labels and areas, the
+  `report_to_dict` JSON of both estimators after `postprocess` (or the
+  error they raise), and two overlay PNGs;
 - pipeline: the artifacts of acceptance criterion 8's CLI pipeline, except
   `eval.json`, which gets its own line.
 
@@ -15,13 +19,16 @@ Run from the repository root:
 """
 
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from layermet.cli import main
+from layermet.cli import main, write_png
+from layermet.image import BinaryMask, GrayImage, render_overlay
+from layermet.measure import MeasureError, orthogonal_report, report_to_dict, three_line_report
 from layermet.nnet import (
     BatchNorm2d,
     TrainConfig,
@@ -30,6 +37,7 @@ from layermet.nnet import (
     train_rcnn,
     train_segmenter,
 )
+from layermet.postprocess import label_components, postprocess
 from layermet.synth import SynthRanges, SynthSpec, generate, generate_batch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -67,6 +75,65 @@ def net_arrays(seed: int) -> list:
     return arrays
 
 
+def measure_corpus():
+    """(name, image, mask) for the criterion 1, 2 and 9 bands and 30 speckled bands."""
+    rng = np.random.default_rng(20240801)  # criterion 1's draws
+    specs = {}
+    for i in range(50):
+        t, tilt = int(rng.integers(8, 17)), float(rng.uniform(-30.0, 30.0))
+        specs[f"c1_{i:02d}"] = SynthSpec(width=128, height=112, thickness=t, tilt_deg=tilt, seed=i)
+    for theta in (10.0, 20.0, 30.0):
+        for t in range(9, 17):
+            specs[f"c2_{theta:.0f}_{t}"] = SynthSpec(width=128, height=112, thickness=t, tilt_deg=theta, seed=t)
+    rng = np.random.default_rng(99)  # criterion 9's draws
+    for i in range(40):
+        t, tilt = int(rng.integers(8, 17)), float(rng.uniform(-25.0, 25.0))
+        specs[f"c9_{i:02d}"] = SynthSpec(width=128, height=112, thickness=t, tilt_deg=tilt, seed=5000 + i)
+    for name, spec in specs.items():
+        sample = generate(spec)
+        yield name, GrayImage(sample.truth_mask.cells.astype(np.float64)), sample.truth_mask
+
+    rng = np.random.default_rng(31)
+    for i in range(30):
+        spec = SynthSpec(
+            width=192,
+            height=96,
+            thickness=float(rng.uniform(6.0, 20.0)),
+            tilt_deg=float(rng.uniform(-15.0, 15.0)),
+            curvature=float(rng.uniform(0.0, 3.0)),
+            noise=0.05,
+            seed=i,
+        )
+        sample = generate(spec)
+        cells = sample.truth_mask.cells | (rng.random((96, 192)) < 0.004)
+        for _ in range(int(rng.integers(1, 5))):  # a few blobs of 2x2 to 4x4 px
+            y, x, size = int(rng.integers(0, 92)), int(rng.integers(0, 188)), int(rng.integers(2, 5))
+            cells[y : y + size, x : x + size] = True
+        yield f"speckle_{i:02d}", sample.image, BinaryMask(cells)
+
+
+def measure_files() -> dict:
+    """Labels, areas and report JSON per corpus mask, plus two overlay PNGs."""
+    files = {}
+    overlays = {"c2_30_12": orthogonal_report, "speckle_07": three_line_report}
+    for name, image, mask in measure_corpus():
+        regions = label_components(mask)
+        areas = np.array([r.area for r in regions.regions], dtype=np.int64)
+        files[f"{name}/labels"] = hash_arrays([regions.labels, areas]).encode()
+        cleaned = postprocess(mask)
+        for estimator in (orthogonal_report, three_line_report):
+            try:
+                report = estimator(cleaned)
+                text = json.dumps(report_to_dict(report, file_name=name), indent=2)
+            except MeasureError as exc:
+                report, text = None, f"{type(exc).__name__}: {exc}"
+            files[f"{name}/{estimator.__name__}.json"] = text.encode()
+            if overlays.get(name) is estimator:
+                caption = f"{name} MT={report.mean_scaled:.2f} SD={report.sd_scaled:.2f}"
+                files[f"{name}/overlay.png"] = write_png(render_overlay(image, cleaned, report, caption))
+    return files
+
+
 def hash_arrays(arrays) -> str:
     digest = hashlib.sha256()
     for a in arrays:
@@ -100,6 +167,10 @@ def main_script():
             if code != 0:
                 sys.exit(f"synth --seed {seed} exited {code}")
         print(f"synth     {hash_files(folder_files(root))}")
+
+        files = measure_files()
+        failed = sum(name.endswith(".json") and not files[name].startswith(b"{") for name in files)
+        print(f"measure   {hash_files(files)}  ({len(files)} files, {failed} reports raised)")
 
         artifacts = _run_pipeline(root / "pipeline")
         report = artifacts.pop("eval.json")

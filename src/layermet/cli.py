@@ -58,11 +58,12 @@ _INPUT_ERRORS = (
     PgmError,
     MaskValueError,
     synth.SynthSpecError,
-    synth.InfeasibleRangesError,
     ModelFormatError,
     FileNotFoundError,
+    FileExistsError,
     NotADirectoryError,
     IsADirectoryError,
+    PermissionError,
     ValueError,
 )
 _PIPELINE_ERRORS = (measure.MeasureError, EmptyPredictionError, DivergenceError)
@@ -279,12 +280,11 @@ def cmd_eval(args) -> int:
     if unmatched:
         raise ValueError("unmatched files:\n  " + "\n  ".join(unmatched))
     masks = _read_all((folder / name, pgm_to_mask) for name in names for folder in (truth_dir, pred_dir))
-    scored = list(zip(names, masks[::2], masks[1::2]))
-    report = metrics.build_eval_report(scored)
+    report = metrics.eval_report(list(zip(names, masks[::2], masks[1::2])))
     if not args.quiet:
-        print(f"dice={report.mean_dice:.4f} iou={report.mean_iou:.4f} n={len(scored)}")
+        print(f"dice={report['mean_dice']:.4f} iou={report['mean_iou']:.4f} n={len(names)}")
     if args.json:
-        Path(args.json).write_text(json.dumps(metrics.eval_report_to_dict(report), indent=2) + "\n")
+        Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -95,39 +95,21 @@ def comparison_fit(x, y) -> ComparisonFit:
     return ComparisonFit(slope=line.slope, intercept=line.intercept, r2=r2)
 
 
-@dataclass(frozen=True)
-class ImageScore:
-    id: str
-    dice: float
-    iou: float
-
-
-@dataclass(frozen=True, eq=False)
-class EvalReport:
-    per_image: tuple[ImageScore, ...]
-    mean_dice: float
-    mean_iou: float
-
-
-def build_eval_report(scored: list[tuple[str, BinaryMask, BinaryMask]]) -> EvalReport:
-    """Score (id, truth, prediction) triples and aggregate by sorted id."""
-    scores = [
-        ImageScore(id=i, dice=dice(t, p), iou=iou(t, p))
-        for i, t, p in sorted(scored, key=lambda item: item[0])
-    ]
-    if not scores:
+def eval_report(scored: list[tuple[str, BinaryMask, BinaryMask]]) -> dict:
+    """JSON-ready Dice/IoU report of (id, truth, prediction) triples, by sorted id."""
+    scored = sorted(scored, key=lambda item: item[0])
+    if not scored:
         raise ValueError("nothing to evaluate")
-    return EvalReport(
-        per_image=tuple(scores),
-        mean_dice=float(np.mean([s.dice for s in scores])),
-        mean_iou=float(np.mean([s.iou for s in scores])),
-    )
-
-
-def eval_report_to_dict(report: EvalReport) -> dict:
-    """JSON-ready form of an evaluation report with a stable schema."""
+    mismatched = [
+        f"{i}: truth {t.width}x{t.height}, prediction {p.width}x{p.height}"
+        for i, t, p in scored
+        if (t.height, t.width) != (p.height, p.width)
+    ]
+    if mismatched:
+        raise ValueError("mask sizes differ:\n  " + "\n  ".join(mismatched))
+    per_image = [{"id": i, "dice": dice(t, p), "iou": iou(t, p)} for i, t, p in scored]
     return {
-        "per_image": [{"id": s.id, "dice": s.dice, "iou": s.iou} for s in report.per_image],
-        "mean_dice": report.mean_dice,
-        "mean_iou": report.mean_iou,
+        "per_image": per_image,
+        "mean_dice": float(np.mean([s["dice"] for s in per_image])),
+        "mean_iou": float(np.mean([s["iou"] for s in per_image])),
     }

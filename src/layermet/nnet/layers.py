@@ -1,9 +1,9 @@
 """Neural network layers with hand-derived forward and backward passes.
 
-Activations are float64 arrays in (N, C, H, W) order (dense layers use
-(N, F)). Every layer caches what its backward pass needs during a train-mode
-forward; backward returns the input gradient and fills per-parameter
-gradients retrievable via `grads()`.
+Activations are float64 arrays in (N, C, H, W) order (dense layers flatten
+their input to (N, F)). Every layer caches what its backward pass needs during
+a train-mode forward; backward returns the input gradient and fills
+per-parameter gradients retrievable via `grads()`.
 
 Convolution is unrolled into one matrix product (Chellapilla et al., 2006).
 The patch matrix is channel-major, (C*k*k, N*H*W): row (c, i, j) holds the
@@ -238,21 +238,9 @@ class Dropout(Layer):
         return np.where(self._mask, dy / (1.0 - self.p), 0.0)
 
 
-class Flatten(Layer):
-    kind = "flatten"
-
-    def __init__(self):
-        self._shape = None
-
-    def forward(self, x, train=False):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dy):
-        return dy.reshape(self._shape)
-
-
 class Dense(Layer):
+    """Fully connected layer; an (N, ...) input is flattened to (N, n_in)."""
+
     kind = "dense"
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
@@ -262,6 +250,7 @@ class Dense(Layer):
         self.dweight = np.zeros_like(self.weight)
         self.dbias = np.zeros_like(self.bias)
         self._x = None
+        self._shape = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -270,18 +259,19 @@ class Dense(Layer):
         return [self.dweight, self.dbias]
 
     def forward(self, x, train=False):
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ValueError(f"dense expected (N,{self.n_in}), got {x.shape}")
+        if x.ndim < 2 or math.prod(x.shape[1:]) != self.n_in:
+            raise ValueError(f"dense expected (N,...) with {self.n_in} features, got {x.shape}")
+        flat = x.reshape(x.shape[0], self.n_in)
         if train:
-            self._x = x
-        return x @ self.weight + self.bias
+            self._x, self._shape = flat, x.shape
+        return flat @ self.weight + self.bias
 
     def backward(self, dy):
         if self._x is None:
             raise RuntimeError("dense backward without a cached train-mode forward")
         self.dweight[:] = self._x.T @ dy
         self.dbias[:] = dy.sum(axis=0)
-        return dy @ self.weight.T
+        return (dy @ self.weight.T).reshape(self._shape)
 
 
 KIND_CODES = {
@@ -291,8 +281,8 @@ KIND_CODES = {
     "maxpool2": 4,
     "upsample2": 5,
     "dropout": 6,
-    "flatten": 7,
     "dense": 8,
 }
-# Codes 9 and 10 held the softmax and linear layers of weight-format version 1;
-# they stay retired so that no later kind reuses them.
+# Code 7 held the flatten layer that `Dense` absorbed, and codes 9 and 10 the
+# softmax and linear layers of weight-format version 1; they stay retired so
+# that no later kind reuses them.

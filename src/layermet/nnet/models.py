@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..image import BinaryMask, GrayImage
-from .layers import BatchNorm2d, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2, ReLU, Upsample2
+from .layers import BatchNorm2d, Conv2d, Dense, Dropout, Layer, MaxPool2, ReLU, Upsample2
 
 SEG_ARCH = 1
 RCNN_ARCH = 2
@@ -136,9 +136,7 @@ def build_rcnn(seed: int = 0) -> Model:
         drop_rng = np.random.default_rng(np.random.SeedSequence([seed, 7, i]))
         layers += [MaxPool2(), Dropout(RCNN_DROPOUT, drop_rng)]
     h, w = RCNN_INPUT[0] // 4, RCNN_INPUT[1] // 4
-    flat = RCNN_BLOCKS[-1][-1] * h * w
-    layers += [Flatten()]
-    widths = (flat,) + RCNN_DENSE
+    widths = (RCNN_BLOCKS[-1][-1] * h * w,) + RCNN_DENSE
     for nin, nout in zip(widths, widths[1:]):
         layers += [Dense(nin, nout, rng), ReLU()]
     layers += [Dense(RCNN_DENSE[-1], 1, rng)]

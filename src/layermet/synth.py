@@ -33,10 +33,6 @@ class SynthSpecError(ValueError):
     """A generation spec violates its invariants."""
 
 
-class InfeasibleRangesError(ValueError):
-    """Batch parameter ranges cannot produce valid specs."""
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of one synthetic sample; `validate` enforces the invariants."""
@@ -192,24 +188,19 @@ class SynthRanges:
         for name in ("thickness", "tilt_deg", "curvature", "noise", "blur_radius"):
             lo, hi = getattr(self, name)
             if lo > hi:
-                raise InfeasibleRangesError(f"{name} range [{lo}, {hi}] is inverted")
-        t_lo, t_hi = self.thickness
-        k_hi = self.curvature[1]
-        if t_lo < 3:
-            raise InfeasibleRangesError(f"thickness minimum {t_lo} is below 3 px")
-        if t_hi + 2 * k_hi > self.height / 2:
-            raise InfeasibleRangesError(
-                f"thickness {t_hi} + 2*curvature {k_hi} exceeds height/2 = {self.height / 2}"
-            )
-        if max(abs(self.tilt_deg[0]), abs(self.tilt_deg[1])) > MAX_TILT_DEG:
-            raise InfeasibleRangesError(f"tilt range exceeds +-{MAX_TILT_DEG} deg")
-        if self.noise[0] < 0 or self.blur_radius[0] < 0:
-            raise InfeasibleRangesError("noise and blur_radius must be >= 0")
+                raise SynthSpecError(f"{name} range [{lo}, {hi}] is inverted")
+        # Each per-sample rule bounds one drawn field from one side, or bounds
+        # thickness + 2*curvature from above, and the brightness draws always
+        # pass; so every draw is valid when the low and high corners are.
+        tilt = max(self.tilt_deg, key=abs)
+        for i in (0, 1):
+            t, k, noise, blur = self.thickness[i], self.curvature[i], self.noise[i], self.blur_radius[i]
+            SynthSpec(self.width, self.height, t, tilt, k, noise, blur_radius=blur).validate()
         # Band must stay inside the frame at the extreme tilt and curvature.
-        span = math.tan(math.radians(max(abs(self.tilt_deg[0]), abs(self.tilt_deg[1]))))
-        margin = span * self.width / 2.0 + k_hi + t_hi / 2.0 + 2.0
+        span = math.tan(math.radians(abs(tilt)))
+        margin = span * self.width / 2.0 + self.curvature[1] + self.thickness[1] / 2.0 + 2.0
         if margin > self.height / 2.0:
-            raise InfeasibleRangesError(
+            raise SynthSpecError(
                 f"band can leave the frame: extent {margin:.1f} exceeds height/2 = {self.height / 2}"
             )
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,32 @@ class TestSynthCommand:
             ["synth", "--n", "1", "--out", str(tmp_path / "x"), "--thickness", "8:200"]
         )
         assert code == 2
+
+    def test_negative_curvature_exit_2_before_out_exists(self, tmp_path, capsys):
+        out = tmp_path / "cv"
+        assert main(["synth", "--n", "6", "--out", str(out), "--curvature=-1:2"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: curvature must be >= 0, got -1.0"]
+        assert not out.exists()
+
+    def test_out_is_regular_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_bytes(b"keep")
+        assert main(["synth", "--n", "1", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "File exists" in lines[0]
+        assert out.read_bytes() == b"keep"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Denied writes are simulated: permission bits do not stop a root user.
+        def denied(self, data):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_bytes", denied)
+        assert main(["synth", "--n", "1", "--out", str(tmp_path / "x")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "Permission denied" in lines[0]
 
     def test_bad_range_syntax_is_usage_error(self, tmp_path):
         assert main(["synth", "--n", "1", "--out", str(tmp_path), "--tilt", "oops"]) == 1
@@ -447,6 +474,20 @@ class TestEvalCommand:
         assert f"{pred / 'mask_0002.pgm'}: pixel 1 has value 128" in err
         assert str(pred / "mask_0000.pgm") not in err
 
+    def test_size_mismatched_pairs_listed(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred", tmp_path / "truth"
+        pred.mkdir(), truth.mkdir()
+        for i in range(3):
+            (truth / f"mask_{i:04d}.pgm").write_bytes(mask_to_pgm(BinaryMask(np.ones((32, 48), dtype=bool))))
+        (pred / "mask_0000.pgm").write_bytes(mask_to_pgm(BinaryMask(np.ones((32, 48), dtype=bool))))
+        (pred / "mask_0001.pgm").write_bytes(mask_to_pgm(BinaryMask(np.ones((32, 40), dtype=bool))))
+        (pred / "mask_0002.pgm").write_bytes(mask_to_pgm(BinaryMask(np.ones((30, 48), dtype=bool))))
+        assert main(["eval", "--pred-dir", str(pred), "--truth-dir", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert "mask_0001.pgm: truth 48x32, prediction 40x32" in err
+        assert "mask_0002.pgm: truth 48x32, prediction 48x30" in err
+        assert "mask_0000.pgm" not in err
+
 
 class TestGradcheckCommand:
     def test_passes_and_lists_every_kind(self, capsys):
@@ -454,7 +495,7 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         for kind in (
             "conv2d", "relu", "batchnorm", "maxpool2", "upsample2",
-            "dropout", "flatten", "dense", "softmax_cross_entropy", "mse_loss",
+            "dropout", "dense", "softmax_cross_entropy", "mse_loss",
         ):
             assert kind in out
 

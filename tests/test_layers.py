@@ -70,6 +70,19 @@ class TestForwardSemantics:
         assert np.allclose(dense.dbias, g.sum(axis=0))
         assert np.allclose(dx, g @ dense.weight.T)
 
+    def test_dense_flattens_its_input(self, rng):
+        x = rng.normal(size=(4, 3, 4, 4))
+        g = rng.normal(size=(4, 5))
+        flat = Dense(48, 5, np.random.default_rng(1))
+        multi = Dense(48, 5, np.random.default_rng(1))
+        y_flat = flat.forward(x.reshape(4, 48), train=True)
+        y_multi = multi.forward(x, train=True)
+        dx_flat, dx_multi = flat.backward(g), multi.backward(g)
+        assert (y_multi == y_flat).all()
+        assert (multi.dweight == flat.dweight).all() and (multi.dbias == flat.dbias).all()
+        assert dx_multi.shape == x.shape
+        assert (dx_multi == dx_flat.reshape(x.shape)).all()
+
     @pytest.mark.parametrize("net", ("segmenter", "rcnn", "gradcheck"))
     def test_conv_equals_row_major_reference(self, net, rng):
         # the training shapes of the acceptance criteria, and gradcheck's 3->4 case

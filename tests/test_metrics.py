@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from layermet.image import BinaryMask
 from layermet.metrics import (
-    build_eval_report,
     comparison_fit,
     dice,
-    eval_report_to_dict,
+    eval_report,
     iou,
     kfold,
     mse,
@@ -148,11 +147,10 @@ class TestComparisonFit:
 class TestEvalReport:
     def test_report_and_schema(self):
         a = _mask(5)
-        report = build_eval_report([("b", a, a), ("a", a, a)])
-        assert report.mean_dice == 1.0
-        assert [s.id for s in report.per_image] == ["a", "b"]
-        payload = eval_report_to_dict(report)
-        assert set(payload) == {"per_image", "mean_dice", "mean_iou"}
+        report = eval_report([("b", a, a), ("a", a, a)])
+        assert list(report) == ["per_image", "mean_dice", "mean_iou"]
+        assert report["mean_dice"] == 1.0 and report["mean_iou"] == 1.0
+        assert report["per_image"] == [{"id": "a", "dice": 1.0, "iou": 1.0}, {"id": "b", "dice": 1.0, "iou": 1.0}]
 
     def test_iou_never_exceeds_dice(self):
         for seed in range(20):

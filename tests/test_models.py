@@ -8,6 +8,7 @@ from layermet.metrics import dice
 from layermet.nnet import (
     ArchitectureMismatchError,
     Conv2d,
+    Model,
     ModelFormatError,
     TrainConfig,
     build_rcnn,
@@ -270,6 +271,17 @@ class TestSerialization:
         blob[8] = 7
         with pytest.raises(ArchitectureMismatchError):
             load_model(bytes(blob))
+
+    def test_retired_flatten_record_rejected(self):
+        # Regressor files from before `Dense` flattened its input carry a
+        # parameterless flatten record (kind code 7) ahead of the first dense one.
+        model = build_rcnn(seed=0)
+        first_dense = next(i for i, layer in enumerate(model.layers) if isinstance(layer, layers.Dense))
+        at = len(save_model(Model(model.arch, model.layers[:first_dense])))
+        blob = save_model(model)
+        with pytest.raises(ArchitectureMismatchError, match="kind code 7") as err:
+            load_model(blob[:at] + b"\x07\x00" + blob[at:])
+        assert err.value.offset == at
 
     def test_trailing_data_rejected(self):
         blob = save_model(build_rcnn(seed=0))

@@ -6,7 +6,6 @@ import pytest
 from layermet import synth
 from layermet.postprocess import label_components
 from layermet.synth import (
-    InfeasibleRangesError,
     SynthRanges,
     SynthSpec,
     SynthSpecError,
@@ -123,10 +122,23 @@ class TestGenerateBatch:
             assert -10.0 <= sample.spec.tilt_deg <= 10.0
 
     def test_infeasible_ranges(self):
-        with pytest.raises(InfeasibleRangesError):
+        with pytest.raises(SynthSpecError):
             generate_batch(1, SynthRanges(thickness=(8.0, 40.0)), seed=0)
-        with pytest.raises(InfeasibleRangesError):
+        with pytest.raises(SynthSpecError):
             generate_batch(1, SynthRanges(tilt_deg=(-34.0, 34.0)), seed=0)
+
+    @pytest.mark.parametrize(
+        "field, bounds, message",
+        [
+            ("thickness", (2.0, 8.0), "thickness must be >= 3"),
+            ("noise", (-0.1, 0.0), "noise sigma must be >= 0"),
+            ("blur_radius", (-1, 0), "blur_radius must be >= 0"),
+            ("curvature", (-1.0, 2.0), "curvature must be >= 0"),
+        ],
+    )
+    def test_low_corner_rules_enforced_through_ranges(self, field, bounds, message):
+        with pytest.raises(SynthSpecError, match=message):
+            SynthRanges(**{field: bounds}).validate()
 
     def test_bad_count(self):
         with pytest.raises(ValueError):
