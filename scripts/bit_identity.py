@@ -5,7 +5,10 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
 - nets: 164 arrays from training both nets at seeds 0 and 3 (parameters,
   batchnorm running statistics, loss curves, `segment_image` masks of 6
   odd-sized images and `predict_thickness` of their 6 true masks);
-- synth: the folders `layermet synth` writes at seeds 0, 3 and 11;
+- synth: the folders `layermet synth` writes at seeds 0, 3 and 11, and the
+  image and mask of `generate` on specs the CLI's ranges never draw (tilt
+  +-35 deg, curvature at the fit limit, blur radius 2 and 3, frames 1 px and
+  2048 px wide);
 - measure: on the masks of acceptance criteria 1, 2 and 9 and 30 seeded
   tilted bands with speckle, the `label_components` labels and areas, the
   `report_to_dict` JSON of both estimators after `postprocess` (or the
@@ -72,6 +75,29 @@ def net_arrays(seed: int) -> list:
     arrays += list(rcnn.params())
     arrays.append(np.asarray(rcnn_losses))
     arrays += [np.float64(predict_thickness(rcnn, s.truth_mask)) for s in odd]
+    return arrays
+
+
+# Specs outside the CLI's ranges: (width, height, thickness, tilt, curvature, noise, blur radius).
+EDGE_SPECS = [
+    (160, 240, 12.5, 35.0, 0.0, 0.0, 0),
+    (160, 240, 17.0, -35.0, 1.5, 0.04, 2),
+    (96, 64, 10.0, 8.0, 11.0, 0.0, 0),
+    (120, 96, 20.0, -30.0, 14.0, 0.03, 3),
+    (1, 16, 5.0, 0.0, 0.0, 0.05, 2),
+    (1, 40, 9.5, 35.0, 5.0, 0.0, 3),
+    (2048, 512, 30.0, 6.0, 40.0, 0.02, 2),
+    (2048, 256, 64.0, -3.0, 32.0, 0.05, 3),
+    (2048, 256, 40.0, 35.0, 0.0, 0.02, 2),  # leaves through the top and bottom edges
+]
+
+
+def edge_arrays() -> list:
+    """Image and mask of `generate` on each of EDGE_SPECS."""
+    arrays = []
+    for i, (w, h, t, tilt, curvature, noise, blur) in enumerate(EDGE_SPECS):
+        sample = generate(SynthSpec(w, h, t, tilt, curvature, noise, blur_radius=blur, seed=i))
+        arrays += [sample.image.pixels, sample.truth_mask.cells]
     return arrays
 
 
@@ -166,7 +192,9 @@ def main_script():
             code = main(["synth", "--n", "6", "--seed", str(seed), "--quiet", "--out", str(out)])
             if code != 0:
                 sys.exit(f"synth --seed {seed} exited {code}")
-        print(f"synth     {hash_files(folder_files(root))}")
+        files = folder_files(root)
+        files["edge_specs"] = hash_arrays(edge_arrays()).encode()
+        print(f"synth     {hash_files(files)}")
 
         files = measure_files()
         failed = sum(name.endswith(".json") and not files[name].startswith(b"{") for name in files)

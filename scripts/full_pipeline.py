@@ -1,11 +1,12 @@
 """End-to-end demo: generate data, train the segmenter, segment, measure, evaluate.
 
-Runs the CLI subcommands exactly as an operator would, into ./pipeline_out,
-and prints the measured thickness of the first image next to its true value.
+Runs the CLI subcommands exactly as an operator would, into ./pipeline_out
+(cleared first, since `synth` refuses a non-empty folder), and prints the measured thickness of the first image next to its true value.
 Takes a couple of minutes on one core.
 """
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ def run(args):
 
 
 def main_script():
+    shutil.rmtree(OUT, ignore_errors=True)
     data = OUT / "data"
     pred = OUT / "pred"
     pred.mkdir(parents=True, exist_ok=True)

@@ -190,6 +190,8 @@ def cmd_synth(args) -> int:
     )
     ranges.validate()
     out = Path(args.out)
+    if out.is_dir() and any(out.iterdir()):
+        raise FileExistsError(f"--out {out} is not empty; synth writes only into a new or empty folder")
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
     for i in range(args.n):

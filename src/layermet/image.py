@@ -292,12 +292,9 @@ def render_overlay(image: GrayImage, mask: BinaryMask, report=None, caption: str
         out[:band, :, :] = 0
         x = 1
         for ch in caption:
-            rows = glyph(ch)
             if x + GLYPH_WIDTH > image.width:
                 break
-            for gy in range(min(GLYPH_HEIGHT, image.height - 1)):
-                for gx in range(GLYPH_WIDTH):
-                    if rows[gy][gx] == "1":
-                        out[1 + gy, x + gx] = 255
+            lit = np.array([[c == "1" for c in row] for row in glyph(ch)])[: image.height - 1]
+            out[1 : 1 + len(lit), x : x + GLYPH_WIDTH][lit] = 255
             x += GLYPH_ADVANCE
     return RgbImage(out)

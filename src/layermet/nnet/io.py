@@ -75,7 +75,8 @@ class _Reader:
         self.pos += size
         return values
 
-    def take_array(self) -> np.ndarray:
+    def take_array(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """An array record's declared shape and its flat payload."""
         (ndim,) = self.take("<B")
         shape = self.take(f"<{ndim}i")
         if any(d < 0 for d in shape):
@@ -84,7 +85,7 @@ class _Reader:
         self._need(8 * count)
         flat = np.frombuffer(self.data, "<f8", count, self.pos)
         self.pos += 8 * count
-        return flat.reshape(shape)
+        return shape, flat
 
 
 def load_model(data: bytes) -> Model:
@@ -120,14 +121,13 @@ def load_model(data: bytes) -> Model:
             )
         for target in arrays:
             arr_at = reader.pos
-            loaded = reader.take_array()
-            if loaded.shape != target.shape:
+            shape, flat = reader.take_array()
+            if shape != target.shape:  # before the reshape, which rejects some shapes
                 raise ModelFormatError(
-                    f"{layer.kind} array shape {loaded.shape} does not match "
-                    f"declared {target.shape}",
+                    f"{layer.kind} array shape {shape} does not match declared {target.shape}",
                     arr_at,
                 )
-            target[...] = loaded
+            target[...] = flat.reshape(shape)
     if reader.pos != len(data):
         raise ModelFormatError(f"{len(data) - reader.pos} trailing bytes", reader.pos)
     return model

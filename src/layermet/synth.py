@@ -19,9 +19,6 @@ from .postprocess import label_components
 CURVE_OVERSAMPLE = 4
 MIN_BRIGHTNESS_GAP = 0.1
 MAX_TILT_DEG = 35.0
-# Elements of the (columns, rows, curve samples) distance block that
-# `_band_mask` evaluates at once: 16 MB of float64.
-BLOCK_ELEMENTS = 2**21
 # Brightness ranges `draw_spec` draws from; the layer's minimum clears both
 # darker bands' maxima by more than MIN_BRIGHTNESS_GAP.
 LAYER_BRIGHTNESS = (0.75, 0.95)
@@ -99,20 +96,12 @@ def centerline(spec: SynthSpec, x):
 
 
 def _box_blur(a: np.ndarray, radius: int) -> np.ndarray:
-    """Separable box blur with edge replication."""
-    if radius <= 0:
-        return a
+    """Separable box blur with edge replication; `radius` must be positive."""
     k = 2 * radius + 1
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        padded = np.pad(a, pad, mode="edge")
-        csum = np.cumsum(padded, axis=axis)
-        zero = np.zeros_like(np.take(csum, [0], axis=axis))
-        csum = np.concatenate([zero, csum], axis=axis)
-        hi = np.take(csum, np.arange(k, csum.shape[axis]), axis=axis)
-        lo = np.take(csum, np.arange(0, csum.shape[axis] - k), axis=axis)
-        a = (hi - lo) / k
+    for _ in range(2):  # rows, then columns through the transpose
+        csum = np.cumsum(np.pad(a, ((radius, radius), (0, 0)), mode="edge"), axis=0)
+        csum = np.pad(csum, ((1, 0), (0, 0)))
+        a = ((csum[k:] - csum[:-k]) / k).T
     return a
 
 
@@ -129,19 +118,13 @@ def _band_mask(spec: SynthSpec) -> np.ndarray:
     slope_bound = abs(math.tan(math.radians(spec.tilt_deg))) + spec.curvature * 2.0 * np.pi / w
     sin_bound = slope_bound / math.hypot(1.0, slope_bound)
     reach = int(math.ceil((spec.thickness / 2.0 + 1.5) * sin_bound)) + 1
-    offsets = np.arange(-CURVE_OVERSAMPLE * reach, CURVE_OVERSAMPLE * reach + 1)
     centers = np.rint(CURVE_OVERSAMPLE * cx).astype(int)
-    idx = np.clip(centers[:, None] + offsets[None, :], 0, CURVE_OVERSAMPLE * w)
-
-    du = u[idx] - cx[:, None]  # (w, k)
-    dv = cu[idx]  # (w, k)
-    mask = np.empty((h, w), dtype=bool)
-    step = max(1, BLOCK_ELEMENTS // (h * offsets.size))
-    for lo in range(0, w, step):
-        block = slice(lo, lo + step)
-        d2 = du[block, None, :] ** 2 + (dv[block, None, :] - cy[None, :, None]) ** 2
-        mask[:, block] = (d2.min(axis=2) <= (spec.thickness / 2.0) ** 2).T
-    return mask
+    best = np.full((h, w), np.inf)
+    for off in range(-CURVE_OVERSAMPLE * reach, CURVE_OVERSAMPLE * reach + 1):
+        idx = np.clip(centers + off, 0, CURVE_OVERSAMPLE * w)
+        d2 = (u[idx] - cx) ** 2 + (cu[idx] - cy[:, None]) ** 2
+        np.minimum(best, d2, out=best)
+    return best <= (spec.thickness / 2.0) ** 2
 
 
 def generate(spec: SynthSpec) -> SynthSample:
@@ -158,7 +141,7 @@ def generate(spec: SynthSpec) -> SynthSample:
         mask,
         spec.layer_brightness,
         np.where(above, spec.upper_brightness, spec.lower_brightness),
-    ).astype(np.float64)
+    )
     if spec.noise > 0:
         rng = np.random.default_rng(spec.seed)
         img = img + rng.normal(0.0, spec.noise, img.shape)

@@ -8,6 +8,7 @@ from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
 from layermet.image import BinaryMask
+from layermet.synth import CURVE_OVERSAMPLE, SynthSpec, centerline
 from layermet.measure import (
     MIN_SAMPLES,
     BoundaryColumns,
@@ -144,6 +145,52 @@ def reference_conv2d(weight: np.ndarray, bias: np.ndarray, x: np.ndarray, dy: np
     dx = _row_major_im2col(dy, k) @ w_rev.reshape(in_ch, -1).T
     dx = np.ascontiguousarray(dx.reshape(n, h, w, in_ch).transpose(0, 3, 1, 2))
     return y, dweight, dbias, dx
+
+
+def reference_box_blur(a: np.ndarray, radius: int) -> np.ndarray:
+    """The box blur as it was before `synth._box_blur` became two slice passes."""
+    if radius <= 0:
+        return a
+    k = 2 * radius + 1
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        padded = np.pad(a, pad, mode="edge")
+        csum = np.cumsum(padded, axis=axis)
+        zero = np.zeros_like(np.take(csum, [0], axis=axis))
+        csum = np.concatenate([zero, csum], axis=axis)
+        hi = np.take(csum, np.arange(k, csum.shape[axis]), axis=axis)
+        lo = np.take(csum, np.arange(0, csum.shape[axis] - k), axis=axis)
+        a = (hi - lo) / k
+    return a
+
+
+def reference_band_mask(spec: SynthSpec, block_elements: int = 2**21) -> np.ndarray:
+    """The band mask as it was before `synth._band_mask` kept a running
+    minimum: (columns, rows, curve samples) distance blocks of at most
+    `block_elements` elements, reduced with `min`."""
+    w, h = spec.width, spec.height
+    cx = np.arange(w) + 0.5
+    cy = np.arange(h) + 0.5
+    u = np.arange(CURVE_OVERSAMPLE * w + 1) / CURVE_OVERSAMPLE
+    cu = centerline(spec, u)
+
+    slope_bound = abs(math.tan(math.radians(spec.tilt_deg))) + spec.curvature * 2.0 * np.pi / w
+    sin_bound = slope_bound / math.hypot(1.0, slope_bound)
+    reach = int(math.ceil((spec.thickness / 2.0 + 1.5) * sin_bound)) + 1
+    offsets = np.arange(-CURVE_OVERSAMPLE * reach, CURVE_OVERSAMPLE * reach + 1)
+    centers = np.rint(CURVE_OVERSAMPLE * cx).astype(int)
+    idx = np.clip(centers[:, None] + offsets[None, :], 0, CURVE_OVERSAMPLE * w)
+
+    du = u[idx] - cx[:, None]  # (w, k)
+    dv = cu[idx]  # (w, k)
+    mask = np.empty((h, w), dtype=bool)
+    step = max(1, block_elements // (h * offsets.size))
+    for lo in range(0, w, step):
+        block = slice(lo, lo + step)
+        d2 = du[block, None, :] ** 2 + (dv[block, None, :] - cy[None, :, None]) ** 2
+        mask[:, block] = (d2.min(axis=2) <= (spec.thickness / 2.0) ** 2).T
+    return mask
 
 
 @pytest.fixture

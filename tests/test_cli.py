@@ -124,6 +124,15 @@ class TestSynthCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "Permission denied" in lines[0]
 
+    def test_non_empty_out_exit_2_and_left_alone(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synth", "--n", "4", "--quiet", "--out", str(out)]) == 0
+        before = _dir_digest(out)
+        assert main(["synth", "--n", "2", "--seed", "5", "--quiet", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+        assert _dir_digest(out) == before
+
     def test_bad_range_syntax_is_usage_error(self, tmp_path):
         assert main(["synth", "--n", "1", "--out", str(tmp_path), "--tilt", "oops"]) == 1
 

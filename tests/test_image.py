@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from layermet.font import FONT_5X7
 from layermet.image import (
     BinaryMask,
     GrayImage,
@@ -181,6 +182,26 @@ class TestOverlay:
         out = render_overlay(img, mask, caption="A=1")
         assert (out.pixels[0, :, :] == 0).all()  # band painted black
         assert (out.pixels[1:8, :, :] == 255).any()  # some glyph pixels lit
+
+    @pytest.mark.parametrize("height, width", [(1, 22), (2, 22), (5, 22), (40, 22), (40, 60)])
+    def test_caption_pixels_follow_font(self, height, width):
+        # At width 22 the fourth glyph would span columns 19-23, so it is left out.
+        caption = "MT=1.5%"
+        out = render_overlay(GrayImage(np.full((height, width), 0.5)), BinaryMask(np.zeros((height, width), bool)),
+                             caption=caption)
+        band = min(9, height)
+        lit = np.zeros((band, width), dtype=bool)
+        for i, ch in enumerate(caption):
+            x = 1 + 6 * i
+            if x + 5 > width:
+                break
+            for gy, row in enumerate(FONT_5X7[ch]):
+                for gx, c in enumerate(row):
+                    if c == "1" and 1 + gy < height:
+                        lit[1 + gy, x + gx] = True
+        expected = np.where(lit, 255, 0).astype(np.uint8)
+        assert (out.pixels[:band] == expected[:, :, None]).all()
+        assert (out.pixels[band:] == 128).all()
 
     def test_dimension_mismatch(self):
         img = GrayImage(np.zeros((4, 4)))

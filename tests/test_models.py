@@ -260,6 +260,15 @@ class TestSerialization:
             load_model(bytes(blob))
         assert err.value.offset == 28
 
+    def test_zero_extent_beside_huge_extents_is_a_shape_mismatch(self):
+        # A zero extent needs no payload, but numpy refuses to shape an array
+        # whose other extents overflow its size limit.
+        blob = bytearray(save_model(build_segmenter(seed=0)))
+        blob[12:28] = struct.pack("<4i", 0, 2**31 - 1, 2**31 - 1, 2**31 - 1)
+        with pytest.raises(ModelFormatError, match="does not match") as err:
+            load_model(bytes(blob))
+        assert err.value.offset == 11
+
     def test_truncated_reports_offset(self):
         blob = save_model(build_segmenter(seed=0))
         with pytest.raises(ModelFormatError) as err:

@@ -14,6 +14,8 @@ from layermet.synth import (
     generate_batch,
 )
 
+from conftest import reference_band_mask, reference_box_blur
+
 
 class TestSpecInvariants:
     def test_thin_band_rejected(self):
@@ -94,15 +96,53 @@ class TestGenerate:
         img = generate(spec).image
         assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
 
-    @pytest.mark.parametrize("budget", [1, 5000])
-    def test_mask_independent_of_block_size(self, monkeypatch, budget):
-        spec = SynthSpec(width=90, height=70, thickness=11.3, tilt_deg=-27, curvature=2.5)
-        whole = generate(spec).truth_mask.cells
-        monkeypatch.setattr(synth, "BLOCK_ELEMENTS", budget)
-        assert np.array_equal(generate(spec).truth_mask.cells, whole)
-
     def test_true_thickness_recorded(self):
         assert generate(SynthSpec(width=32, height=64, thickness=13.5)).true_thickness == 13.5
+
+
+# Width, height, thickness and tilt of the eight bands of perfbench's
+# `measure` workload.
+MEASURE_BANDS = [
+    (512, 384, 24.4, 30.0), (2048, 256, 20.7, 5.0), (768, 384, 28.2, -20.0), (1024, 320, 17.9, 12.0),
+    (640, 384, 31.6, -25.0), (1536, 256, 26.3, -3.0), (512, 384, 22.5, 15.0), (1280, 288, 29.1, -10.0),
+]
+
+
+def _random_band_specs(n: int, seed: int):
+    """Bands 1 to 300 px wide, tilted up to +-35 deg, a third of them at the
+    largest curvature that fits."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        height = int(rng.integers(8, 121))
+        thickness = float(rng.uniform(3.0, height / 2.0))
+        limit = (height / 2.0 - thickness) / 2.0
+        curvature = limit if rng.random() < 1 / 3 else float(rng.uniform(0.0, limit))
+        tilt = float(rng.choice([-35.0, 35.0])) if rng.random() < 0.2 else float(rng.uniform(-35.0, 35.0))
+        yield SynthSpec(int(rng.integers(1, 301)), height, thickness, tilt, curvature)
+
+
+class TestRasterEquivalence:
+    """The rasterisers equal the block-evaluated references bit for bit."""
+
+    def test_band_mask_matches_reference(self):
+        specs = list(_random_band_specs(200, seed=4021))
+        specs += [SynthSpec(w, h, t, tilt) for w, h, t, tilt in MEASURE_BANDS]
+        # Flat bands of even thickness in an odd height: whole rows lie exactly t/2 off the centerline.
+        specs += [SynthSpec(w, 2 * t + 9, t) for w, t in ((1, 4), (33, 10), (64, 16))]
+        for i, spec in enumerate(specs):
+            spec.validate()
+            budget = (1, 5000, 2**21)[i % 3]
+            assert np.array_equal(synth._band_mask(spec), reference_band_mask(spec, budget)), spec
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_box_blur_matches_reference(self, rng, radius):
+        shapes = [(1, 1), (1, 37), (37, 1), (2, 2)]
+        shapes += [tuple(int(n) for n in rng.integers(1, 60, size=2)) for _ in range(40)]
+        for shape in shapes:
+            a = rng.random(shape)
+            blurred = synth._box_blur(a, radius)
+            assert blurred.shape == a.shape
+            assert np.array_equal(blurred, reference_box_blur(a, radius)), shape
 
 
 class TestGenerateBatch:
