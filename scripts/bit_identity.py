@@ -12,7 +12,9 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
 - measure: on the masks of acceptance criteria 1, 2 and 9 and 30 seeded
   tilted bands with speckle, the `label_components` labels and areas, the
   `report_to_dict` JSON of both estimators after `postprocess` (or the
-  error they raise), and two overlay PNGs;
+  error they raise), the mask `pgm_to_mask` reads back from a P2 encoding,
+  and two overlay PNGs; and what `pgm_to_mask` makes of MALFORMED_P2 (the
+  grid, or the error with its offset or pixel index);
 - pipeline: the artifacts of acceptance criterion 8's CLI pipeline, except
   `eval.json`, which gets its own line.
 
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from layermet.cli import main, write_png
-from layermet.image import BinaryMask, GrayImage, render_overlay
+from layermet.image import BinaryMask, GrayImage, MaskValueError, PgmError, pgm_to_mask, render_overlay
 from layermet.measure import MeasureError, orthogonal_report, report_to_dict, three_line_report
 from layermet.nnet import (
     BatchNorm2d,
@@ -138,14 +140,62 @@ def measure_corpus():
         yield f"speckle_{i:02d}", sample.image, BinaryMask(cells)
 
 
+# P2 inputs at the edges of read_pgm's tokenizer, most of them refused:
+# comments at a token start and inside one, signs, underscores, every
+# whitespace byte, leading zeros, 4+ digit and out-of-range values, int()'s
+# digit limit, short, long and cut-off payloads, and a gray value in a mask.
+MALFORMED_P2 = [
+    b"P2\n2 2\n255\n0 # a comment\n255\n# another\n0 255",
+    b"P2\n2 2\n255\n0 255#not a comment 0 255",
+    b"P2\n2 2\n255\n+0 +255 0 255\n",
+    b"P2\n2 2\n255\n-0 255 0 -255\n",
+    b"P2\n2 2\n255\n2_5_5 0 0 255\n",
+    b"P2\n2 2\n255\t0\x0b255\x0c0\r255\r\n",
+    b"P2\n2 2\n255\n0000255 000 00 0\n",
+    b"P2\n2 2\n255\n0 255 1000 0\n",
+    b"P2\n2 2\n255\n0 256 0 0\n",
+    b"P2\n2 2\n255\n0 255 " + b"0" * 4301 + b" 0\n",
+    b"P2\n2 2\n255\n0 255 1" + b"0" * 700 + b" 0\n",
+    b"P2\n2 2\n255\n0 255 7x",
+    b"P2\n2 2\n255\n0 255   ",
+    b"P2\n2 2\n255\n0 255 0 255 17 x9 -1\n",
+    b"P2\n2 2\n255\n0 255 0 # 255\n",
+    b"P2\n2 2\n255\n0 255 0 #",
+    b"P2\n2 2\n255\n0 255\n0 25",
+    b"P2\n3 1\n255\n0 128 255\n",
+    b"P2 # header comment\n2 1 255 255 0",
+    b"P2\n2 2\n255\n\xff 0 0 0\n",
+]
+
+
+def encode_p2(name: str, cells: np.ndarray, per_line: int) -> bytes:
+    """A mask as P2 text with a comment line and `per_line` values a line."""
+    values = np.where(cells, 255, 0).ravel().tolist()
+    lines = [" ".join(map(str, values[i : i + per_line])) for i in range(0, len(values), per_line)]
+    header = f"P2\n# {name}\n{cells.shape[1]} {cells.shape[0]}\n255\n"
+    return (header + "\n".join(lines) + "\n").encode("ascii")
+
+
+def read_mask(data: bytes) -> bytes:
+    """What `pgm_to_mask` makes of `data`: a hash of the mask, or the error."""
+    try:
+        return hash_arrays([pgm_to_mask(data).cells]).encode()
+    except PgmError as exc:
+        return f"PgmError: {exc} @ {exc.offset}".encode()
+    except MaskValueError as exc:
+        return f"MaskValueError: {exc} @ {exc.index}".encode()
+
+
 def measure_files() -> dict:
-    """Labels, areas and report JSON per corpus mask, plus two overlay PNGs."""
+    """Labels, areas, report JSON and P2 read-back per corpus mask, two
+    overlay PNGs, and the reading of each MALFORMED_P2 input."""
     files = {}
     overlays = {"c2_30_12": orthogonal_report, "speckle_07": three_line_report}
-    for name, image, mask in measure_corpus():
+    for i, (name, image, mask) in enumerate(measure_corpus()):
         regions = label_components(mask)
         areas = np.array([r.area for r in regions.regions], dtype=np.int64)
         files[f"{name}/labels"] = hash_arrays([regions.labels, areas]).encode()
+        files[f"{name}/p2"] = read_mask(encode_p2(name, mask.cells, (7, 16, mask.width)[i % 3]))
         cleaned = postprocess(mask)
         for estimator in (orthogonal_report, three_line_report):
             try:
@@ -157,6 +207,8 @@ def measure_files() -> dict:
             if overlays.get(name) is estimator:
                 caption = f"{name} MT={report.mean_scaled:.2f} SD={report.sd_scaled:.2f}"
                 files[f"{name}/overlay.png"] = write_png(render_overlay(image, cleaned, report, caption))
+    for i, data in enumerate(MALFORMED_P2):
+        files[f"malformed_p2/{i:02d}"] = read_mask(data)
     return files
 
 

@@ -5,6 +5,7 @@ are bool, overlays are uint8 RGB. Every operation here is a pure function;
 values are immutable after construction and safe to share across threads.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,10 @@ import numpy as np
 from .font import GLYPH_ADVANCE, GLYPH_HEIGHT, GLYPH_WIDTH, glyph
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_IS_WHITESPACE = np.zeros(256, dtype=bool)
+_IS_WHITESPACE[list(_WHITESPACE)] = True
+_IS_DIGIT = np.zeros(256, dtype=bool)
+_IS_DIGIT[ord("0") : ord("9") + 1] = True
 
 # Overlay constants: tint alpha on the layer, caption band height in rows.
 TINT_ALPHA = 0.4
@@ -188,17 +193,79 @@ def read_pgm(data: bytes) -> np.ndarray:
             f"found {len(data) - pos}",
             len(data),
         )
-    values = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        tok, tok_at, pos = _next_token(data, pos)
-        try:
-            v = int(tok)
-        except ValueError:
-            raise PgmError(f"bad pixel token {tok!r}", tok_at) from None
-        if not 0 <= v <= 255:
-            raise PgmError(f"pixel value {v} out of range", tok_at)
-        values[i] = v
-    return values.reshape(height, width)
+    return _read_p2_pixels(data, pos, count).reshape(height, width)
+
+
+def _pixel_value(tok: bytes, at: int) -> int:
+    """One P2 pixel token as `int` reads it; PgmError unless it is 0..255."""
+    try:
+        v = int(tok)
+    except ValueError:
+        raise PgmError(f"bad pixel token {tok!r}", at) from None
+    if not 0 <= v <= 255:
+        raise PgmError(f"pixel value {v} out of range", at)
+    return v
+
+
+def _read_p2_pixels(data: bytes, pos: int, count: int) -> np.ndarray:
+    """The first `count` pixel tokens after `pos`, in whole-array passes.
+
+    Reads what `_next_token` and `int` would read one token at a time, and
+    fails on the same token with the same message and offset: tokens split at
+    whitespace, a '#' where a token could start opens a comment up to its
+    newline, and the first bad token is reported before a short payload.
+    The scan starts with room for `count` 3-digit tokens and doubles until it
+    holds one token more (or all the data), so bytes after the last pixel
+    token cost next to nothing.
+    """
+    size = 4 * count + 64
+    while True:
+        raw = np.frombuffer(data, np.uint8, min(size, len(data) - pos), pos)
+        blank = _IS_WHITESPACE[raw]  # whitespace, then comments as well
+        hashes = np.flatnonzero(raw == ord("#"))
+        hashes = hashes[(hashes == 0) | blank[hashes - 1]]
+        end = 0
+        for i in hashes.tolist():
+            if i >= end:  # not inside the comment before it
+                nl = data.find(b"\n", pos + i)
+                end = len(data) - pos if nl < 0 else nl + 1 - pos
+                blank[i:end] = True
+        edges = np.flatnonzero(np.diff(blank, prepend=True, append=True))
+        if edges.size > 2 * count or pos + raw.size == len(data):
+            break
+        size *= 2
+    starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
+    lengths = ends - starts
+
+    # Pure-digit tokens: the value of the last three digits, and out of range
+    # if a nonzero digit comes before them.
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k, scale in ((1, 1), (2, 10), (3, 100)):
+        digit = np.where(lengths >= k, raw[ends - k], ord("0"))
+        values += scale * (digit.astype(np.int64) - ord("0"))
+    bad = values > 255
+    long = np.flatnonzero(lengths > 3)
+    if long.size:
+        prefixes = np.column_stack([starts[long], ends[long] - 3]).ravel()
+        bad[long] |= np.maximum.reduceat(raw, prefixes)[::2] > ord("0")
+
+    # The rest go through int(): tokens with a byte that is not a digit, and
+    # ones long enough to meet int()'s digit limit. Together with the first
+    # pure-digit token out of range, which raises, they are read in order.
+    odd = np.flatnonzero(~(blank | _IS_DIGIT[raw]))
+    if starts.size:
+        odd = odd[odd < ends[-1]]
+    irregular = np.union1d(
+        np.searchsorted(starts, odd, side="right") - 1,
+        np.flatnonzero(lengths > sys.int_info.str_digits_check_threshold),
+    )
+    bad[irregular] = False
+    for t in np.union1d(irregular, np.flatnonzero(bad)[:1]).tolist():
+        at = pos + int(starts[t])
+        values[t] = _pixel_value(data[at : pos + ends[t]], at)
+    if starts.size < count:
+        raise PgmError("unexpected end of data in header", len(data))
+    return values.astype(np.uint8)
 
 
 def write_pgm(grid) -> bytes:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import BinaryMask
 
@@ -105,10 +106,9 @@ def extract_boundaries(mask: BinaryMask) -> BoundaryColumns:
             f"occupied columns have gaps ({cols.size} columns spanning "
             f"{cols[-1] - cols[0] + 1}); run post-processing first"
         )
-    sub = cells[:, cols]
-    rows = np.arange(cells.shape[0])[:, None]
-    top = np.min(np.where(sub, rows, cells.shape[0]), axis=0).astype(np.float64)
-    bottom = np.max(np.where(sub, rows, -1), axis=0).astype(np.float64)
+    sub = cells[:, cols[0] : cols[-1] + 1]
+    top = np.argmax(sub, axis=0).astype(np.float64)
+    bottom = (cells.shape[0] - 1 - np.argmax(sub[::-1], axis=0)).astype(np.float64)
     return BoundaryColumns(columns=cols.copy(), top=top, bottom=bottom)
 
 
@@ -136,23 +136,26 @@ def fit_regression_line(points) -> MidlineFit:
     return MidlineFit(slope=slope, intercept=intercept, normal=normal, residual_rms=residual_rms)
 
 
-def _closest_hits(px, py, ax, ay, nx, ny, side):
+def _closest_hits(py, sy, det, rx, ay, nx, ny, side):
     """Ray parameter s of each anchor's closest hit of anchor + s*normal with a polyline.
 
-    Vectorized over anchors (rows) and segments (columns). `side` is -1 for
-    hits at s <= 0 (toward the top boundary) and +1 for s >= 0; a ray that
-    misses every segment gets s = side * inf.
+    Vectorized over anchors (rows) and the segments of their windows
+    (columns). Each segment is one column wide: `py`, `sy` and `det` are its
+    start row, its rise and the determinant of its system with the ray (NaN
+    where they are near parallel or the window passes the band's end), and
+    `rx` its start column less the anchor's, per window column. `side` is -1
+    for hits at s <= 0 (toward the top boundary) and +1 for s >= 0; a ray
+    that misses every segment gets s = side * inf.
     """
-    sx, sy = np.diff(px), np.diff(py)
-    rx, ry = px[:-1] - ax[:, None], py[:-1] - ay[:, None]
-    det = sx * ny - sy * nx
+    ry = py - ay[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = (sx * ry - sy * rx) / det
+        s = (ry - sy * rx) / det
         u = (nx * ry - ny * rx) / det
     # side * s maps the top side onto s >= 0 so one min finds the closest hit
     # on either side; negation is exact, so the hits equal a per-side max/min
-    ok = (np.abs(det) > 1e-12) & (u >= 0.0) & (u <= 1.0) & (side * s >= -1e-9)
-    return side * np.where(ok, side * s, np.inf).min(axis=1)
+    s = side * s
+    ok = (u >= 0.0) & (u <= 1.0) & (s >= -1e-9)  # False wherever det is NaN
+    return side * np.where(ok, s, np.inf).min(axis=1)
 
 
 def orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> list[ThicknessSample]:
@@ -175,13 +178,32 @@ def orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> list[Thickne
     guard = int(math.ceil(float(np.median(bounds.bottom - bounds.top + 1.0))))
     inside = (cols - cols[0] >= guard) & (cols[-1] - cols >= guard)
     ax, ay = cols[inside], mids[inside]
+    first = int(np.argmax(inside))  # the anchors are one run of columns
+
+    # A hit lies within the boundary rows, so |s * ny| <= span and the hit is
+    # within span * |slope| columns of its anchor: each anchor needs only the
+    # segments from reach + 1 columns left to reach columns right of it, and
+    # never more than all of them on either side.
+    span = float(bounds.bottom.max() - bounds.top.min() + 1.0)
+    reach = min(int(math.ceil(span * abs(fit.slope))) + 1, cols.size)
+    rx = np.arange(-reach - 1, reach + 1, dtype=np.float64)  # the columns are contiguous
+    # start row, rise and determinant with the ray of each top, then bottom,
+    # segment, padded with reach + 1 NaNs on both sides
+    segments = np.full((2, 3, cols.size + 2 * reach + 1), np.nan)
+    start, rise, det = segments[:, :, reach + 1 : reach + cols.size].transpose(1, 0, 2)
+    start[0], start[1] = bounds.top[:-1] - 0.5, bounds.bottom[:-1] + 0.5
+    rise[0], rise[1] = np.diff(bounds.top), np.diff(bounds.bottom)  # whole rows: exact
+    det[:] = ny - rise * nx
+    det[np.abs(det) <= 1e-12] = np.nan  # ray and segment near parallel
+    windows = sliding_window_view(segments, rx.size, axis=2)  # a window per column
 
     s_up, s_dn = np.empty_like(ax), np.empty_like(ax)
-    step = max(1, BLOCK_PAIRS // cols.size)
+    step = max(1, BLOCK_PAIRS // rx.size)
     for lo in range(0, ax.size, step):
-        b = slice(lo, lo + step)
-        s_up[b] = _closest_hits(cols, bounds.top - 0.5, ax[b], ay[b], nx, ny, side=-1)
-        s_dn[b] = _closest_hits(cols, bounds.bottom + 0.5, ax[b], ay[b], nx, ny, side=+1)
+        b = slice(lo, min(lo + step, ax.size))
+        top, bottom = windows[:, :, first + b.start : first + b.stop]
+        s_up[b] = _closest_hits(*top, rx, ay[b], nx, ny, side=-1)
+        s_dn[b] = _closest_hits(*bottom, rx, ay[b], nx, ny, side=+1)
     hit = np.isfinite(s_up) & np.isfinite(s_dn)
     ax, ay, s_up, s_dn = ax[hit], ay[hit], s_up[hit], s_dn[hit]
     coords = (ax, ay, ax + s_up * nx, ay + s_up * ny, ax + s_dn * nx, ay + s_dn * ny)

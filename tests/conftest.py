@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
-from layermet.image import BinaryMask
+from layermet.image import _WHITESPACE, BinaryMask, PgmError, _next_token
 from layermet.synth import CURVE_OVERSAMPLE, SynthSpec, centerline
 from layermet.measure import (
     MIN_SAMPLES,
@@ -53,6 +53,57 @@ def flood_components(cells: np.ndarray) -> list[set[tuple[int, int]]]:
                         queue.append((ny, nx))
             regions.append(pixels)
     return regions
+
+
+def reference_read_pgm(data: bytes) -> np.ndarray:
+    """`image.read_pgm` as it was before its P2 payload became whole-array
+    passes: one `_next_token` and one `int` per pixel."""
+    magic, magic_at, pos = _next_token(data, 0)
+    if magic not in (b"P5", b"P2"):
+        raise PgmError(f"unsupported magic {magic!r}, expected P5 or P2", magic_at)
+    dims = []
+    for name in ("width", "height", "maxval"):
+        tok, tok_at, pos = _next_token(data, pos)
+        try:
+            value = int(tok)
+        except ValueError:
+            raise PgmError(f"bad {name} token {tok!r}", tok_at) from None
+        dims.append((value, tok_at))
+    (width, w_at), (height, _), (maxval, m_at) = dims
+    if width < 1 or height < 1:
+        raise PgmError(f"dimensions must be positive, got {width}x{height}", w_at)
+    if maxval != 255:
+        raise PgmError(f"unsupported maxval {maxval}, expected 255", m_at)
+    count = width * height
+
+    if magic == b"P5":
+        if pos >= len(data) or data[pos] not in _WHITESPACE:
+            raise PgmError("expected single whitespace byte before payload", pos)
+        pos += 1
+        if len(data) - pos < count:
+            raise PgmError(
+                f"truncated payload: expected {count} bytes, found {len(data) - pos}",
+                len(data),
+            )
+        return np.frombuffer(data, np.uint8, count, pos).reshape(height, width).copy()
+
+    if len(data) - pos < 2 * count:
+        raise PgmError(
+            f"truncated payload: {count} pixel tokens need at least {2 * count} bytes, "
+            f"found {len(data) - pos}",
+            len(data),
+        )
+    values = np.empty(count, dtype=np.uint8)
+    for i in range(count):
+        tok, tok_at, pos = _next_token(data, pos)
+        try:
+            v = int(tok)
+        except ValueError:
+            raise PgmError(f"bad pixel token {tok!r}", tok_at) from None
+        if not 0 <= v <= 255:
+            raise PgmError(f"pixel value {v} out of range", tok_at)
+        values[i] = v
+    return values.reshape(height, width)
 
 
 def _first_hit(px, py, ax, ay, nx, ny, side):

@@ -1,10 +1,15 @@
 """Parser fuzzing: mutated valid files and random bytes may only raise the
-documented format errors (`PgmError`, `MaskValueError`, `ModelFormatError`)."""
+documented format errors (`PgmError`, `MaskValueError`, `ModelFormatError`),
+and a folder of them only the folder reader's one `corrupt data files:` error."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layermet.cli import _parse_target, _read_all
 from layermet.image import MaskValueError, PgmError, pgm_to_mask, read_pgm
 from layermet.nnet import ModelFormatError, build_segmenter, load_model, save_model
 from layermet.nnet.io import _state_arrays
@@ -98,3 +103,48 @@ def test_mutated_weight_file_raises_only_documented_errors(edits):
 @given(st.sampled_from([b"", b"LMET", SEG_FILE[:8], SEG_FILE[:9], SEG_FILE[:12]]), st.binary(max_size=64))
 def test_random_weight_bytes_raise_only_documented_errors(prefix, tail):
     _load(prefix + tail)
+
+
+_BAND = np.where(np.arange(12)[:, None] // 3 == 1, 255, 0).repeat(40, axis=1).astype(np.uint8)
+MASK_FILES = [  # the band measures 3 px thick over 40 columns, so `_parse_target` can succeed
+    b"P5\n40 12\n255\n" + _BAND.tobytes(),
+    b"P2\n# band\n40 12\n255\n" + "\n".join(" ".join(map(str, row)) for row in _BAND.tolist()).encode(),
+] + PGM_FILES
+# How each job's file is made: written after its edits, never written, or a directory.
+KINDS = st.sampled_from(["file", "file", "file", "missing", "directory"])
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(MASK_FILES), st.lists(st.tuples(OPS, st.integers(0, 600), BYTES), max_size=3), KINDS
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([pgm_to_mask, _parse_target]),
+)
+def test_mask_folder_raises_only_corrupt_data_files(files, parse):
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs, bad = [], []
+        for i, (data, edits, kind) in enumerate(files):
+            path = Path(tmp) / f"mask_{i:04d}.pgm"
+            if kind == "file":
+                path.write_bytes(_mutate(data, edits))
+            elif kind == "directory":
+                path.mkdir()
+            jobs.append((path, parse))
+            try:
+                parse(path.read_bytes())
+            except (OSError, ValueError):
+                bad.append(path)
+        try:
+            _read_all(jobs)
+        except ValueError as exc:
+            header, *lines = str(exc).split("\n")
+            assert header == "corrupt data files:"
+            assert len(lines) == len(bad)
+            assert all(line.startswith(f"  {path}: ") for line, path in zip(lines, bad))
+        else:
+            assert not bad

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layermet.font import FONT_5X7
@@ -16,6 +16,9 @@ from layermet.image import (
     render_overlay,
     write_pgm,
 )
+
+from conftest import reference_read_pgm
+from test_fuzz import BYTES, OPS, _mutate
 
 
 class TestNormalize:
@@ -115,6 +118,59 @@ class TestPgm:
     def test_round_trip_property(self, w, h, seed):
         grid = np.random.default_rng(seed).integers(0, 256, size=(h, w)).astype(np.uint8)
         assert (read_pgm(write_pgm(grid)) == grid).all()
+
+
+# P2 pixel tokens: values in range, ones int() reads in other ways (sign,
+# underscore, leading zeros, 4+ digits, past its digit limit) and ones it rejects.
+P2_TOKENS = st.one_of(
+    st.integers(0, 255).map(lambda v: str(v).encode()),
+    st.sampled_from(
+        [b"+5", b"-0", b"-3", b"1_0", b"_1", b"1__0", b"0000255", b"0001000", b"256", b"99999",
+         b"00", b"12#", b"7x", b"#", b"\xff", b"\x00", b"1" + b"0" * 700, b"0" * 4301]
+    ),
+)
+# Separators: whitespace of every kind, comments at a token start, and a bare
+# '#' or "#x" that continues the token before it.
+P2_SEPARATORS = st.sampled_from(
+    [b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"\r\n", b"  \n", b" # note\n", b"\n#\n#\n", b" #", b"#x ", b""]
+)
+
+
+@st.composite
+def p2_files(draw) -> bytes:
+    """A P2 file whose body has a token or two fewer or more than its header
+    asks for, cut short at a random byte one time in four."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    body = bytearray(f"P2\n{w} {h}\n255".encode())
+    for _ in range(max(0, w * h + draw(st.integers(-2, 2)))):
+        body += draw(P2_SEPARATORS) + draw(P2_TOKENS)
+    body += draw(P2_SEPARATORS)
+    if draw(st.integers(0, 3)) == 0:
+        del body[draw(st.integers(0, len(body))) :]
+    return bytes(body)
+
+
+def _outcome(parse, data: bytes):
+    try:
+        grid = parse(data)
+    except PgmError as exc:
+        return type(exc), str(exc), exc.offset
+    return grid.shape, grid.tobytes()
+
+
+class TestP2Oracle:
+    """`read_pgm` against the per-token P2 reader it replaced."""
+
+    @settings(max_examples=600)
+    @given(p2_files(), st.lists(st.tuples(OPS, st.integers(0, 64), BYTES), max_size=3))
+    def test_equals_per_token_reader(self, data, edits):
+        data = _mutate(data, edits)
+        assert _outcome(read_pgm, data) == _outcome(reference_read_pgm, data)
+
+    def test_first_bad_token_comes_before_a_short_payload(self):
+        with pytest.raises(PgmError, match="bad pixel token") as err:
+            read_pgm(b"P2\n2 2\n255\n0 7x 255    ")
+        assert err.value.offset == 13
 
 
 class TestMaskPgm:

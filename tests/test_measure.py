@@ -146,15 +146,51 @@ def _ragged_bands(count: int, seed: int) -> list[BinaryMask]:
     return masks
 
 
+def _limit_bands() -> list[BinaryMask]:
+    """Bands at the edges of the windowed chord solve: midline slopes near
+    MAX_FIT_SLOPE; zigzag bands at slope 1 and -1, half of whose segments run
+    parallel to the rays; curved bands at the curvature fit limit; flat bands,
+    whose windows reach one column past the anchor."""
+    masks = []
+    rng = np.random.default_rng(5)
+    for slope in (1.72, -1.7, 1.5, -0.5, 1.74):
+        for jitter in (0, 2):
+            x = np.arange(90)
+            top = np.floor(slope * (x - 45)).astype(int) + rng.integers(0, jitter + 1, size=x.size)
+            top -= top.min() - 2
+            cells = np.zeros((int(top.max()) + 14, x.size + 4), dtype=bool)
+            for i in x:
+                cells[top[i] : top[i] + 9, i + 2] = True
+            masks.append(BinaryMask(cells))
+    x = np.arange(80)
+    for sign in (1, -1):  # midline slope exactly +-1
+        top, bottom = sign * x + 2 * (x % 2), sign * x + 8 - 2 * (x % 2)
+        top, bottom = top - top.min() + 2, bottom - top.min() + 2
+        cells = np.zeros((int(bottom.max()) + 3, x.size), dtype=bool)
+        for i in x:
+            cells[top[i] : bottom[i] + 1, i] = True
+        masks.append(BinaryMask(cells))
+    for width, height, thickness, tilt in ((160, 96, 10.0, 0.0), (300, 128, 14.0, 12.0), (240, 112, 8.5, -20.0)):
+        spec = SynthSpec(width, height, thickness, tilt, curvature=(height / 2 - thickness) / 2)
+        masks.append(generate(spec).truth_mask)
+    masks += [band_mask(100, 20, 29, height=64), band_mask(60, 5, 5, height=16), band_mask(700, 3, 40)]
+    return masks
+
+
 class TestOrthogonalSamples:
-    @pytest.mark.parametrize("pairs", [measure.BLOCK_PAIRS, 1000])
+    @pytest.mark.parametrize("pairs", [measure.BLOCK_PAIRS, 1000, 1])
     def test_equals_per_anchor_reference(self, pairs, monkeypatch):
-        monkeypatch.setattr(measure, "BLOCK_PAIRS", pairs)  # 1000: several passes per band
-        masks = _acceptance_corpora() + _ragged_bands(30, seed=11)
+        # 1000: several passes per band; 1: one anchor per pass
+        monkeypatch.setattr(measure, "BLOCK_PAIRS", pairs)
+        masks = _acceptance_corpora() + _ragged_bands(30, seed=11) + _limit_bands()
         compared = 0
         for mask in masks:
             bounds = extract_boundaries(mask)
             fit = fit_regression_line(midpoints(bounds))
+            if abs(fit.slope) > measure.MAX_FIT_SLOPE:
+                with pytest.raises(SteepLayerError):
+                    orthogonal_samples(bounds, fit)
+                continue
             try:
                 expected = reference_orthogonal_samples(bounds, fit)
             except InsufficientCoverageError:
@@ -163,8 +199,7 @@ class TestOrthogonalSamples:
                 continue
             assert orthogonal_samples(bounds, fit) == expected  # exact, sample for sample
             compared += 1
-        assert compared >= len(masks) - 5
-
+        assert compared >= len(masks) - 7
 
     def test_flat_band_exact(self):
         mask = band_mask(100, 20, 29, height=64)
