@@ -340,16 +340,12 @@ def render_overlay(image: GrayImage, mask: BinaryMask, report=None, caption: str
     rgb[cells, 2] = shaded[cells]
     out = np.rint(rgb).astype(np.uint8)
 
-    if report is not None and getattr(report, "samples", None):
-        samples = report.samples
-        picks = np.unique(
-            np.rint(np.linspace(0, len(samples) - 1, min(MAX_OVERLAY_LINES, len(samples)))).astype(int)
-        )
+    if report is not None:
+        # evenly spaced chord indices, at least 1 apart, so no two coincide
+        picks = np.rint(np.linspace(0, report.n - 1, min(MAX_OVERLAY_LINES, report.n))).astype(int)
+        ends = np.rint(np.hstack([report.upper[picks], report.lower[picks]])).astype(int)
         h, w = cells.shape
-        for i in picks:
-            s = samples[i]
-            x0, y0 = int(round(s.upper_hit[0])), int(round(s.upper_hit[1]))
-            x1, y1 = int(round(s.lower_hit[0])), int(round(s.lower_hit[1]))
+        for x0, y0, x1, y1 in ends.tolist():
             for x, y in _bresenham(x0, y0, x1, y1):
                 if 0 <= x < w and 0 <= y < h and cells[y, x]:
                     out[y, x] = 0

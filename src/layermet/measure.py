@@ -69,18 +69,16 @@ class MidlineFit:
     residual_rms: float
 
 
-@dataclass(frozen=True)
-class ThicknessSample:
-    anchor: tuple[float, float]
-    upper_hit: tuple[float, float]
-    lower_hit: tuple[float, float]
-    length: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThicknessReport:
+    """Chords in column order: anchor, upper and lower hit as (n, 2) arrays of
+    (x, y) rows and their lengths as an (n,) array."""
+
     method: str  # "orthogonal" | "three_line"
-    samples: tuple[ThicknessSample, ...]
+    anchor: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    length: np.ndarray
     mean: float
     sd: float
     n: int
@@ -158,14 +156,15 @@ def _closest_hits(py, sy, det, rx, ay, nx, ny, side):
     return side * np.where(ok, s, np.inf).min(axis=1)
 
 
-def orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> list[ThicknessSample]:
+def orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> tuple[np.ndarray, ...]:
     """Perpendicular chords through every interior midpoint anchor.
 
     The top polyline joins (x, top - 0.5) points, the bottom polyline joins
     (x, bottom + 0.5); intersections are solved per segment, giving sub-pixel
     hits. Anchors within ceil(median column height) columns of either band end
     are dropped so rays cannot exit through the band's open ends, as are
-    anchors whose ray misses either boundary. Samples come in column order.
+    anchors whose ray misses either boundary. Returns the (n, 2) anchor,
+    upper and lower hit arrays and the (n,) lengths, in column order.
     """
     if abs(fit.slope) > MAX_FIT_SLOPE:
         raise SteepLayerError(
@@ -205,29 +204,32 @@ def orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> list[Thickne
         s_up[b] = _closest_hits(*top, rx, ay[b], nx, ny, side=-1)
         s_dn[b] = _closest_hits(*bottom, rx, ay[b], nx, ny, side=+1)
     hit = np.isfinite(s_up) & np.isfinite(s_dn)
-    ax, ay, s_up, s_dn = ax[hit], ay[hit], s_up[hit], s_dn[hit]
-    coords = (ax, ay, ax + s_up * nx, ay + s_up * ny, ax + s_dn * nx, ay + s_dn * ny)
-    samples = [
-        ThicknessSample((x, y), (ux, uy), (lx, ly), math.hypot(lx - ux, ly - uy))
-        for x, y, ux, uy, lx, ly in zip(*(c.tolist() for c in coords))
-    ]
-    if len(samples) < MIN_SAMPLES:
+    n = int(np.count_nonzero(hit))
+    if n < MIN_SAMPLES:
         raise InsufficientCoverageError(
-            f"only {len(samples)} perpendicular samples (need >= {MIN_SAMPLES}); band too short"
+            f"only {n} perpendicular samples (need >= {MIN_SAMPLES}); band too short"
         )
-    return samples
+    anchor = np.column_stack([ax[hit], ay[hit]])
+    upper = anchor + s_up[hit, None] * np.array([nx, ny])
+    lower = anchor + s_dn[hit, None] * np.array([nx, ny])
+    dx, dy = (lower - upper).T
+    # math.hypot, not np.hypot: the two differ in the last bit on some chords
+    length = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, n)
+    return anchor, upper, lower, length
 
 
-def _make_report(method: str, samples: list[ThicknessSample], scale: float) -> ThicknessReport:
-    lengths = np.array([s.length for s in samples], dtype=np.float64)
-    mean = float(lengths.mean())
-    sd = float(lengths.std(ddof=1)) if lengths.size > 1 else 0.0
+def _make_report(method: str, anchor, upper, lower, length, scale: float) -> ThicknessReport:
+    mean = float(length.mean())
+    sd = float(length.std(ddof=1)) if length.size > 1 else 0.0
     return ThicknessReport(
         method=method,
-        samples=tuple(samples),
+        anchor=anchor,
+        upper=upper,
+        lower=lower,
+        length=length,
         mean=mean,
         sd=sd,
-        n=len(samples),
+        n=length.size,
         scale=float(scale),
         mean_scaled=mean * scale,
         sd_scaled=sd * scale,
@@ -238,8 +240,7 @@ def orthogonal_report(mask: BinaryMask, scale: float = 1.0) -> ThicknessReport:
     """Full perpendicular-chord measurement of a single-band mask."""
     bounds = extract_boundaries(mask)
     fit = fit_regression_line(midpoints(bounds))
-    samples = orthogonal_samples(bounds, fit)
-    return _make_report("orthogonal", samples, scale)
+    return _make_report("orthogonal", *orthogonal_samples(bounds, fit), scale)
 
 
 def three_line_report(mask: BinaryMask, scale: float = 1.0) -> ThicknessReport:
@@ -250,20 +251,13 @@ def three_line_report(mask: BinaryMask, scale: float = 1.0) -> ThicknessReport:
     """
     bounds = extract_boundaries(mask)
     n_cols = bounds.columns.size
-    samples = []
-    for q in THREE_LINE_POSITIONS:
-        i = min(int(math.floor(q * n_cols)), n_cols - 1)
-        x = float(bounds.columns[i])
-        top, bottom = bounds.top[i], bounds.bottom[i]
-        samples.append(
-            ThicknessSample(
-                anchor=(x, (top + bottom) / 2.0),
-                upper_hit=(x, top - 0.5),
-                lower_hit=(x, bottom + 0.5),
-                length=bottom - top + 1.0,
-            )
-        )
-    return _make_report("three_line", samples, scale)
+    i = np.minimum(np.floor(np.multiply(THREE_LINE_POSITIONS, n_cols)).astype(int), n_cols - 1)
+    x = bounds.columns[i].astype(np.float64)
+    top, bottom = bounds.top[i], bounds.bottom[i]
+    anchor = np.column_stack([x, (top + bottom) / 2.0])
+    upper = np.column_stack([x, top - 0.5])
+    lower = np.column_stack([x, bottom + 0.5])
+    return _make_report("three_line", anchor, upper, lower, bottom - top + 1.0, scale)
 
 
 def report_to_dict(report: ThicknessReport, file_name: str = "") -> dict:
@@ -278,6 +272,7 @@ def report_to_dict(report: ThicknessReport, file_name: str = "") -> dict:
         "mean_nm": report.mean_scaled,
         "sd_nm": report.sd_scaled,
         "samples": [
-            {"x": s.anchor[0], "y": s.anchor[1], "len_px": s.length} for s in report.samples
+            {"x": x, "y": y, "len_px": length}
+            for x, y, length in zip(*report.anchor.T.tolist(), report.length.tolist())
         ],
     }

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
-from layermet.image import _WHITESPACE, BinaryMask, PgmError, _next_token
+from layermet.image import _WHITESPACE, BinaryMask, PgmError, _bresenham, _next_token
 from layermet.synth import CURVE_OVERSAMPLE, SynthSpec, centerline
 from layermet.measure import (
     MIN_SAMPLES,
     BoundaryColumns,
     InsufficientCoverageError,
     MidlineFit,
-    ThicknessSample,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
@@ -132,11 +131,12 @@ def _first_hit(px, py, ax, ay, nx, ny, side):
     return (ax + s_hit * nx, ay + s_hit * ny), s_hit
 
 
-def reference_orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> list[ThicknessSample]:
+def reference_orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit):
     """Per-anchor loop that `measure.orthogonal_samples` must reproduce exactly.
 
     Each interior anchor's ray is intersected with both boundary polylines on
-    its own; the steep-slope check is left to the code under test.
+    its own; the steep-slope check is left to the code under test. Returns
+    the (n, 2) anchor, upper and lower hit arrays and the (n,) lengths.
     """
     cols = bounds.columns.astype(np.float64)
     top_y = bounds.top - 0.5
@@ -144,7 +144,7 @@ def reference_orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> li
     mids = (bounds.top + bounds.bottom) / 2.0
     nx, ny = fit.normal
     guard = int(math.ceil(float(np.median(bounds.bottom - bounds.top + 1.0))))
-    samples = []
+    anchor, upper, lower, length = [], [], [], []
     for i in range(cols.size):
         x = cols[i]
         if x - cols[0] < guard or cols[-1] - x < guard:
@@ -155,17 +155,33 @@ def reference_orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> li
             continue
         (ux, uy), _ = up
         (lx, ly), _ = dn
-        samples.append(
-            ThicknessSample(
-                anchor=(float(x), float(mids[i])),
-                upper_hit=(ux, uy),
-                lower_hit=(lx, ly),
-                length=math.hypot(lx - ux, ly - uy),
-            )
-        )
-    if len(samples) < MIN_SAMPLES:
-        raise InsufficientCoverageError(f"only {len(samples)} perpendicular samples")
-    return samples
+        anchor.append((float(x), float(mids[i])))
+        upper.append((ux, uy))
+        lower.append((lx, ly))
+        length.append(math.hypot(lx - ux, ly - uy))
+    if len(length) < MIN_SAMPLES:
+        raise InsufficientCoverageError(f"only {len(length)} perpendicular samples")
+    return np.array(anchor), np.array(upper), np.array(lower), np.array(length)
+
+
+def reference_overlay_chords(report, cells: np.ndarray) -> tuple[list, set]:
+    """Chords `render_overlay` should draw: min(20, n) evenly spaced picks as
+    rounded (x0, y0, x1, y1) endpoints, and the set of (y, x) pixels of
+    their lines that fall inside the mask."""
+    n = report.n
+    m = min(20, n)
+    picks = [round(k * (n - 1) / max(m - 1, 1)) for k in range(m)]
+    ends = []
+    for i in picks:
+        (ux, uy), (lx, ly) = report.upper[i].tolist(), report.lower[i].tolist()
+        ends.append((round(ux), round(uy), round(lx), round(ly)))
+    h, w = cells.shape
+    pixels = set()
+    for x0, y0, x1, y1 in ends:
+        for x, y in _bresenham(x0, y0, x1, y1):
+            if 0 <= x < w and 0 <= y < h and cells[y, x]:
+                pixels.add((y, x))
+    return ends, pixels
 
 
 def _row_major_im2col(x: np.ndarray, k: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layermet import image
 from layermet.font import FONT_5X7
 from layermet.image import (
     BinaryMask,
@@ -16,8 +17,10 @@ from layermet.image import (
     render_overlay,
     write_pgm,
 )
+from layermet.measure import orthogonal_report, three_line_report
+from layermet.synth import SynthSpec, generate
 
-from conftest import reference_read_pgm
+from conftest import band_mask, reference_overlay_chords, reference_read_pgm
 from test_fuzz import BYTES, OPS, _mutate
 
 
@@ -258,6 +261,37 @@ class TestOverlay:
         expected = np.where(lit, 255, 0).astype(np.uint8)
         assert (out.pixels[:band] == expected[:, :, None]).all()
         assert (out.pixels[band:] == 128).all()
+
+    @pytest.mark.parametrize("estimator", [orthogonal_report, three_line_report])
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            band_mask(100, 20, 29, height=64),
+            band_mask(32, 8, 14, height=24),  # 18 chords, fewer than the 20 drawn at most
+            generate(SynthSpec(width=128, height=96, thickness=11, tilt_deg=24, curvature=3, seed=2)).truth_mask,
+        ],
+        ids=["flat", "short", "tilted"],
+    )
+    def test_chords_are_picked_lines_clipped_to_mask(self, mask, estimator, rng, monkeypatch):
+        report = estimator(mask)
+        drawn, line = [], image._bresenham
+
+        def recording(x0, y0, x1, y1):
+            drawn.append((x0, y0, x1, y1))
+            return line(x0, y0, x1, y1)
+
+        gray = normalize(rng.integers(0, 256, size=mask.cells.shape).astype(np.uint8))
+        plain = render_overlay(gray, mask).pixels
+        monkeypatch.setattr(image, "_bresenham", recording)
+        out = render_overlay(gray, mask, report=report).pixels
+        ends, pixels = reference_overlay_chords(report, mask.cells)
+        assert len(drawn) == min(20, report.n)
+        assert drawn == ends
+        blackened = tuple(np.array(sorted(pixels)).T)
+        assert pixels and plain[blackened].any(axis=-1).all()  # tinted pixels are never black
+        expected = plain.copy()
+        expected[blackened] = 0
+        assert np.array_equal(out, expected)
 
     def test_dimension_mismatch(self):
         img = GrayImage(np.zeros((4, 4)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from layermet import measure
 from layermet.image import BinaryMask
@@ -9,6 +11,7 @@ from layermet.measure import (
     DegenerateFitError,
     EmptyMaskError,
     InsufficientCoverageError,
+    MeasureError,
     NonContiguousMaskError,
     SteepLayerError,
     extract_boundaries,
@@ -197,7 +200,8 @@ class TestOrthogonalSamples:
                 with pytest.raises(InsufficientCoverageError):
                     orthogonal_samples(bounds, fit)
                 continue
-            assert orthogonal_samples(bounds, fit) == expected  # exact, sample for sample
+            got = orthogonal_samples(bounds, fit)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))  # exact
             compared += 1
         assert compared >= len(masks) - 7
 
@@ -205,25 +209,25 @@ class TestOrthogonalSamples:
         mask = band_mask(100, 20, 29, height=64)
         bounds = extract_boundaries(mask)
         fit = fit_regression_line(midpoints(bounds))
-        samples = orthogonal_samples(bounds, fit)
-        for s in samples:
-            assert abs(s.length - 10.0) < 1e-6
-            dx = s.lower_hit[0] - s.upper_hit[0]
-            dy = s.lower_hit[1] - s.upper_hit[1]
-            assert abs(dx) < 1e-9 and dy > 0  # perpendicular is vertical
+        anchor, upper, lower, length = orthogonal_samples(bounds, fit)
+        x = np.arange(10.0, 90.0)  # 10 guard columns at either end
+        assert np.array_equal(anchor, np.column_stack([x, np.full(80, 24.5)]))
+        assert np.array_equal(upper, np.column_stack([x, np.full(80, 19.5)]))  # perpendicular is vertical
+        assert np.array_equal(lower, np.column_stack([x, np.full(80, 29.5)]))
+        assert np.array_equal(length, np.full(80, 10.0))
 
     def test_sample_geometry_invariants(self):
         sample = generate(SynthSpec(width=96, height=96, thickness=10, tilt_deg=25))
         bounds = extract_boundaries(sample.truth_mask)
         fit = fit_regression_line(midpoints(bounds))
         nx, ny = fit.normal
-        for s in orthogonal_samples(bounds, fit):
-            dx = s.lower_hit[0] - s.upper_hit[0]
-            dy = s.lower_hit[1] - s.upper_hit[1]
-            assert abs(s.length - math.hypot(dx, dy)) < 1e-9
-            cross = dx * ny - dy * nx
-            assert abs(cross) < 1e-6 * s.length  # parallel to the fit normal
-            assert s.length > 0
+        anchor, upper, lower, length = orthogonal_samples(bounds, fit)
+        columns = anchor[:, 0].astype(int) - int(bounds.columns[0])
+        assert np.array_equal(anchor[:, 1], (bounds.top + bounds.bottom)[columns] / 2.0)  # on the midpoints
+        dx, dy = (lower - upper).T
+        assert np.array_equal(length, [math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
+        assert (np.abs(dx * ny - dy * nx) < 1e-6 * length).all()  # parallel to the fit normal
+        assert (length > 0).all()
 
     def test_insufficient_coverage(self):
         with pytest.raises(InsufficientCoverageError):
@@ -285,6 +289,59 @@ class TestOrthogonalReport:
         assert abs(ra.mean - rb.mean) < 1e-6
 
 
+@st.composite
+def synth_bands(draw) -> BinaryMask:
+    """Truth masks of synth bands, tilted, curved or near the fit limits.
+
+    A synth band is symmetric under a half turn about the frame's center, so
+    one that is never cropped would hide faults that treat its two ends
+    differently; the left columns are cropped off to break that symmetry.
+    """
+    height, width = draw(st.integers(40, 128)), draw(st.integers(24, 320))
+    thickness = draw(st.floats(3.0, height / 2 - 1.0))
+    spec = SynthSpec(
+        width=width,
+        height=height,
+        thickness=thickness,
+        tilt_deg=draw(st.floats(-35.0, 35.0)),
+        curvature=draw(st.floats(0.0, (height / 2 - thickness) / 2)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    crop = draw(st.integers(0, width // 3))
+    return BinaryMask(generate(spec).truth_mask.cells[:, crop:].copy())
+
+
+def _outcome(mask: BinaryMask):
+    try:
+        return orthogonal_report(mask)
+    except MeasureError as exc:
+        return type(exc)
+
+
+class TestChordInvariants:
+    def test_lengths_are_math_hypot_of_chords(self):
+        # math.hypot keeps the report bytes; np.hypot differs in the last bit on some chords
+        for mask in _acceptance_corpora():
+            for report in (orthogonal_report(mask), three_line_report(mask)):
+                dx, dy = (report.lower - report.upper).T
+                expected = [math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
+                assert report.length.dtype == np.float64
+                assert np.array_equal(report.length, expected)
+
+    @given(synth_bands(), st.sampled_from(["horizontal", "vertical", "both"]))
+    def test_flip_invariance(self, mask, flip):
+        rows = slice(None, None, -1 if flip != "horizontal" else 1)
+        cols = slice(None, None, -1 if flip != "vertical" else 1)
+        original, flipped = _outcome(mask), _outcome(BinaryMask(mask.cells[rows, cols].copy()))
+        if isinstance(original, type):
+            assert flipped is original
+            return
+        assert flipped.n == original.n
+        assert abs(flipped.mean - original.mean) <= 1e-12
+        assert abs(flipped.sd - original.sd) <= 1e-12
+        assert np.allclose(np.sort(flipped.length), np.sort(original.length), rtol=0.0, atol=1e-12)
+
+
 class TestThreeLineReport:
     def test_flat_band(self):
         report = three_line_report(band_mask(100, 20, 29, height=64))
@@ -305,7 +362,11 @@ class TestThreeLineReport:
         cells = np.zeros((12, 4), dtype=bool)
         cells[3:7, :] = True
         report = three_line_report(BinaryMask(cells))
-        assert [s.anchor[0] for s in report.samples] == [1.0, 2.0, 3.0]
+        x = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(report.anchor, np.column_stack([x, np.full(3, 4.5)]))
+        assert np.array_equal(report.upper, np.column_stack([x, np.full(3, 2.5)]))
+        assert np.array_equal(report.lower, np.column_stack([x, np.full(3, 6.5)]))
+        assert np.array_equal(report.length, np.full(3, 4.0))
 
     def test_flat_vs_orthogonal_agreement(self):
         mask = band_mask(80, 12, 23, height=48)

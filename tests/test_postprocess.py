@@ -11,6 +11,7 @@ from layermet.postprocess import (
     largest_component,
     postprocess,
 )
+from layermet.synth import SynthSpec, generate
 
 from conftest import flood_components
 
@@ -65,6 +66,25 @@ class TestLabelComponents:
         assert (out.labels[~cells] == 0).all()
         for r in out.regions:
             assert r.area == int((out.labels == r.label).sum())
+
+    @given(
+        st.integers(0, 2**16),
+        st.integers(8, 96),
+        st.floats(-35.0, 35.0),
+        st.floats(0.0, 0.4),
+        st.sampled_from(["horizontal", "vertical", "transpose", "anti-transpose"]),
+    )
+    def test_areas_invariant_under_flips_and_transposes(self, seed, width, tilt, speckle, move):
+        band = generate(SynthSpec(width=width, height=40, thickness=6, tilt_deg=tilt, seed=seed)).truth_mask.cells
+        cells = band ^ (np.random.default_rng(seed).random(band.shape) < speckle)
+        moved = {
+            "horizontal": cells[:, ::-1],
+            "vertical": cells[::-1],
+            "transpose": cells.T,
+            "anti-transpose": cells[::-1, ::-1].T,
+        }[move]
+        areas = sorted(r.area for r in label_components(BinaryMask(cells)).regions)
+        assert sorted(r.area for r in label_components(BinaryMask(moved.copy())).regions) == areas
 
 
 class TestLargestComponent:
