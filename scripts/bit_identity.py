@@ -13,8 +13,9 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
   tilted bands with speckle, the `label_components` labels and areas, the
   `report_to_dict` JSON of both estimators after `postprocess` (or the
   error they raise), the mask `pgm_to_mask` reads back from a P2 encoding,
-  and two overlay PNGs; and what `pgm_to_mask` makes of MALFORMED_P2 (the
-  grid, or the error with its offset or pixel index);
+  and two overlay PNGs; what `pgm_to_mask` makes of MALFORMED_P2 (the
+  grid, or the error with its offset or pixel index); and the labels and
+  areas of three noisy 257x301 masks, a 256x256 spiral and a checkerboard;
 - pipeline: the artifacts of acceptance criterion 8's CLI pipeline, except
   `eval.json`, which gets its own line.
 
@@ -46,6 +47,7 @@ from layermet.postprocess import label_components, postprocess
 from layermet.synth import SynthRanges, SynthSpec, generate, generate_batch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import spiral_cells  # noqa: E402
 from test_acceptance import _run_pipeline  # noqa: E402
 
 ODD_SIZES = [(37, 29), (50, 41), (61, 33), (45, 47), (71, 27), (33, 35)]
@@ -188,13 +190,12 @@ def read_mask(data: bytes) -> bytes:
 
 def measure_files() -> dict:
     """Labels, areas, report JSON and P2 read-back per corpus mask, two
-    overlay PNGs, and the reading of each MALFORMED_P2 input."""
+    overlay PNGs, the reading of each MALFORMED_P2 input, and the labels and
+    areas of each labeling_corpus mask."""
     files = {}
     overlays = {"c2_30_12": orthogonal_report, "speckle_07": three_line_report}
     for i, (name, image, mask) in enumerate(measure_corpus()):
-        regions = label_components(mask)
-        areas = np.array([r.area for r in regions.regions], dtype=np.int64)
-        files[f"{name}/labels"] = hash_arrays([regions.labels, areas]).encode()
+        files[f"{name}/labels"] = label_hash(mask)
         files[f"{name}/p2"] = read_mask(encode_p2(name, mask.cells, (7, 16, mask.width)[i % 3]))
         cleaned = postprocess(mask)
         for estimator in (orthogonal_report, three_line_report):
@@ -209,7 +210,25 @@ def measure_files() -> dict:
                 files[f"{name}/overlay.png"] = write_png(render_overlay(image, cleaned, report, caption))
     for i, data in enumerate(MALFORMED_P2):
         files[f"malformed_p2/{i:02d}"] = read_mask(data)
+    for name, cells in labeling_corpus():
+        files[f"{name}/labels"] = label_hash(BinaryMask(cells))
     return files
+
+
+def label_hash(mask: BinaryMask) -> bytes:
+    """A hash of the `label_components` labels and areas of `mask`."""
+    regions = label_components(mask)
+    areas = np.array([r.area for r in regions.regions], dtype=np.int64)
+    return hash_arrays([regions.labels, areas]).encode()
+
+
+def labeling_corpus():
+    """(name, cells) with many regions or long merge chains: seeded noise,
+    a one-pixel spiral and a checkerboard that joins only at corners."""
+    for p in (0.3, 0.45, 0.6):
+        yield f"noise_{p}", np.random.default_rng(int(100 * p)).random((257, 301)) < p
+    yield "spiral_256", spiral_cells(256)
+    yield "checkerboard", np.indices((256, 256)).sum(axis=0) % 2 == 0
 
 
 def hash_arrays(arrays) -> str:

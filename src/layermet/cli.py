@@ -258,18 +258,19 @@ def cmd_measure(args) -> int:
     mask = pgm_to_mask(mask_path.read_bytes())
     estimator = measure.orthogonal_report if args.method == "orthogonal" else measure.three_line_report
     report = estimator(mask, scale=args.scale)
-    if not args.quiet:
-        print(f"MT={report.mean_scaled:.4f} SD={report.sd_scaled:.4f} n={report.n}")
-    if args.json:
-        payload = measure.report_to_dict(report, file_name=mask_path.name)
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-    if args.overlay:
+    if args.overlay:  # rendered before any output, so a bad --image leaves no file behind
         if args.image:
             image = _parse_image(Path(args.image).read_bytes())
         else:
             image = GrayImage(mask.cells.astype(np.float64))
         caption = f"{mask_path.name} MT={report.mean_scaled:.2f} SD={report.sd_scaled:.2f}"
         rgb = render_overlay(image, mask, report=report, caption=caption)
+    if not args.quiet:
+        print(f"MT={report.mean_scaled:.4f} SD={report.sd_scaled:.4f} n={report.n}")
+    if args.json:
+        payload = measure.report_to_dict(report, file_name=mask_path.name)
+        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+    if args.overlay:
         overlay = Path(args.overlay)
         overlay.write_bytes(write_png(rgb) if overlay.suffix.lower() == ".png" else write_ppm(rgb))
     return EXIT_OK

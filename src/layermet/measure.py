@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import BinaryMask
+from .postprocess import label_components
 
 MAX_FIT_SLOPE = math.tan(math.radians(60.0))
 MIN_SAMPLES = 10
@@ -35,7 +36,7 @@ class EmptyMaskError(MeasureError):
 
 
 class NonContiguousMaskError(MeasureError):
-    """Occupied columns have gaps; the mask was not reduced to one component."""
+    """The mask holds more than one 8-connected region; it was not reduced to one component."""
 
 
 class DegenerateFitError(MeasureError):
@@ -90,20 +91,18 @@ class ThicknessReport:
 def extract_boundaries(mask: BinaryMask) -> BoundaryColumns:
     """Top and bottom mask rows for every occupied column.
 
-    Columns with interior gaps use the outermost extremes. The occupied
-    columns must form one contiguous run; anything else means the mask was
-    not post-processed down to a single component.
+    The mask must hold exactly one 8-connected region; more than one means it
+    was not post-processed down to a single component. One region occupies a
+    contiguous run of columns. Columns with interior gaps use the outermost
+    extremes.
     """
-    cells = mask.cells
-    occupied = cells.any(axis=0)
-    cols = np.flatnonzero(occupied)
-    if cols.size == 0:
+    regions = len(label_components(mask).regions)
+    if regions == 0:
         raise EmptyMaskError("mask has no foreground pixels")
-    if cols[-1] - cols[0] + 1 != cols.size:
-        raise NonContiguousMaskError(
-            f"occupied columns have gaps ({cols.size} columns spanning "
-            f"{cols[-1] - cols[0] + 1}); run post-processing first"
-        )
+    if regions > 1:
+        raise NonContiguousMaskError(f"mask has {regions} 8-connected regions; run post-processing first")
+    cells = mask.cells
+    cols = np.flatnonzero(cells.any(axis=0))
     sub = cells[:, cols[0] : cols[-1] + 1]
     top = np.argmax(sub, axis=0).astype(np.float64)
     bottom = (cells.shape[0] - 1 - np.argmax(sub[::-1], axis=0)).astype(np.float64)

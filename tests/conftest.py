@@ -8,6 +8,7 @@ from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
 from layermet.image import _WHITESPACE, BinaryMask, PgmError, _bresenham, _next_token
+from layermet.postprocess import LabeledRegions, RegionStats
 from layermet.synth import CURVE_OVERSAMPLE, SynthSpec, centerline
 from layermet.measure import (
     MIN_SAMPLES,
@@ -52,6 +53,87 @@ def flood_components(cells: np.ndarray) -> list[set[tuple[int, int]]]:
                         queue.append((ny, nx))
             regions.append(pixels)
     return regions
+
+
+def spiral_cells(n: int) -> np.ndarray:
+    """A one-pixel path winding inward with a one-pixel gap between turns."""
+    cells = np.zeros((n, n), dtype=bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    for _ in range(n * n):
+        cells[y, x] = True
+        ny, nx = y + dy, x + dx
+        ahead = 0 <= ny < n and 0 <= nx < n and not cells[ny, nx]
+        beyond = 0 <= ny + dy < n and 0 <= nx + dx < n and cells[ny + dy, nx + dx]
+        if not ahead or beyond:
+            dy, dx = dx, -dy
+            ny, nx = y + dy, x + dx
+            if not (0 <= ny < n and 0 <= nx < n) or cells[ny, nx] or cells[ny + dy, nx + dx]:
+                break
+        y, x = ny, nx
+    return cells
+
+
+def _find(parent: list[int], i: int) -> int:
+    root = i
+    while parent[root] != root:
+        root = parent[root]
+    while parent[i] != root:
+        parent[i], i = root, parent[i]
+    return root
+
+
+def _union(parent: list[int], a: int, b: int) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[max(ra, rb)] = min(ra, rb)
+
+
+def _row_runs(row: np.ndarray) -> list[tuple[int, int]]:
+    """Half-open [start, end) runs of True in a boolean row."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], row.astype(np.int8), [0]))))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
+def reference_label_components(mask: BinaryMask) -> LabeledRegions:
+    """`postprocess.label_components` as it was before it became whole-array
+    passes: per-row runs merged by a list-based union-find, one run at a time."""
+    cells = mask.cells
+    height, width = cells.shape
+
+    parent = [0]  # provisional labels start at 1
+    all_runs: list[tuple[int, int, int, int]] = []  # (y, start, end, provisional)
+    prev: list[tuple[int, int, int]] = []
+    for y in range(height):
+        cur: list[tuple[int, int, int]] = []
+        j = 0
+        for start, end in _row_runs(cells[y]):
+            label = 0
+            # skip previous-row runs ending left of this run's neighborhood
+            while j < len(prev) and prev[j][1] < start:
+                j += 1
+            k = j
+            while k < len(prev) and prev[k][0] <= end:
+                if label == 0:
+                    label = prev[k][2]
+                else:
+                    _union(parent, label, prev[k][2])
+                k += 1
+            if label == 0:
+                label = len(parent)
+                parent.append(label)
+            cur.append((start, end, label))
+            all_runs.append((y, start, end, label))
+        prev = cur
+
+    labels = np.zeros((height, width), dtype=np.int32)
+    remap: dict[int, int] = {}
+    for y, start, end, provisional in all_runs:
+        root = _find(parent, provisional)
+        final = remap.setdefault(root, len(remap) + 1)
+        labels[y, start:end] = final
+
+    areas = np.bincount(labels.ravel())[1:].tolist()
+    return LabeledRegions(labels, tuple(RegionStats(label, area) for label, area in enumerate(areas, start=1)))
 
 
 def reference_read_pgm(data: bytes) -> np.ndarray:

@@ -409,6 +409,28 @@ class TestMeasureCommand:
         path.write_bytes(mask_to_pgm(BinaryMask(np.zeros((16, 16), dtype=bool))))
         assert main(["measure", "--mask", str(path)]) == 3
 
+    def test_second_region_exit_3(self, tmp_path, capsys):
+        cells = generate(SynthSpec(width=200, height=80, thickness=12, tilt_deg=5, seed=1)).truth_mask.cells.copy()
+        cells[3:5, 100:103] = True
+        path = tmp_path / "speck.pgm"
+        path.write_bytes(mask_to_pgm(BinaryMask(cells)))
+        assert main(["measure", "--mask", str(path), "--json", str(tmp_path / "r.json")]) == 3
+        assert "run post-processing first" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("image", ["narrow", "truncated", "missing"])
+    def test_bad_image_exit_2_before_any_output(self, tmp_path, flat_mask_file, capsys, image):
+        path = tmp_path / "img.pgm"
+        if image == "narrow":
+            path.write_bytes(write_pgm(np.zeros((64, 99), dtype=np.uint8)))
+        elif image == "truncated":
+            path.write_bytes(write_pgm(np.zeros((64, 100), dtype=np.uint8))[:-1])
+        report, overlay = tmp_path / "r.json", tmp_path / "o.png"
+        args = ["measure", "--mask", str(flat_mask_file), "--image", str(path), "--json", str(report)]
+        assert main(args + ["--overlay", str(overlay)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not report.exists() and not overlay.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["measure", "--mask", str(tmp_path / "nothing.pgm")]) == 2
 

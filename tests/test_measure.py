@@ -66,6 +66,16 @@ class TestExtractBoundaries:
         with pytest.raises(NonContiguousMaskError):
             extract_boundaries(BinaryMask(cells))
 
+    @pytest.mark.parametrize("estimator", [orthogonal_report, three_line_report])
+    def test_second_region_within_band_columns(self, estimator):
+        # the speck shares the band's columns, so no column gap shows it
+        cells = generate(SynthSpec(width=200, height=80, thickness=12, tilt_deg=5, seed=1)).truth_mask.cells
+        estimator(BinaryMask(cells))
+        cells = cells.copy()
+        cells[3:5, 100:103] = True
+        with pytest.raises(NonContiguousMaskError, match="2 8-connected regions"):
+            estimator(BinaryMask(cells))
+
 
 class TestMidpoints:
     def test_flat_band_midline(self):

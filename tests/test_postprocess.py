@@ -13,11 +13,43 @@ from layermet.postprocess import (
 )
 from layermet.synth import SynthSpec, generate
 
-from conftest import flood_components
+from conftest import flood_components, reference_label_components, spiral_cells
 
 
 def _mask_from(rows: list[str]) -> BinaryMask:
     return BinaryMask(np.array([[c == "#" for c in row] for row in rows]))
+
+
+def _snake(n: int) -> np.ndarray:
+    """Full rows on even lines, joined at alternating ends: one region."""
+    cells = np.zeros((n, n), dtype=bool)
+    cells[::2] = True
+    cells[1::4, -1] = True
+    cells[3::4, 0] = True
+    return cells
+
+
+def _last_column_runs(n: int) -> np.ndarray:
+    """Runs that end in the last column above runs that start in the first:
+    touching only if a row's end wrapped onto the next row's start."""
+    cells = np.zeros((n, n), dtype=bool)
+    cells[::2, n // 2 :] = True
+    cells[1::2, : n // 4] = True
+    return cells
+
+
+# corner contacts only, long merge chains, runs at both row ends, noise
+REFERENCE_CASES = {
+    "checkerboard": np.indices((64, 48)).sum(axis=0) % 2 == 0,
+    "checkerboard_odd": np.indices((33, 65)).sum(axis=0) % 2 == 1,
+    "snake": _snake(257),
+    "spiral": spiral_cells(256),
+    "last_column": _last_column_runs(96),
+    "full": np.ones((17, 23), dtype=bool),
+    "single_column": np.random.default_rng(3).random((200, 1)) < 0.5,
+    "single_row": np.random.default_rng(4).random((1, 200)) < 0.5,
+    **{f"noisy_{p}": np.random.default_rng(int(10 * p)).random((256, 256)) < p for p in (0.1, 0.3, 0.5, 0.7, 0.9)},
+}
 
 
 class TestLabelComponents:
@@ -39,9 +71,9 @@ class TestLabelComponents:
         mask = _mask_from(["#.", ".#"])
         assert len(label_components(mask).regions) == 1
 
-    @given(st.integers(0, 2**32 - 1), st.floats(0.2, 0.8))
-    def test_matches_flood_fill_oracle(self, seed, density):
-        cells = np.random.default_rng(seed).random((12, 14)) < density
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40), st.floats(0.0, 1.0))
+    def test_matches_flood_fill_oracle(self, seed, height, width, density):
+        cells = np.random.default_rng(seed).random((height, width)) < density
         mask = BinaryMask(cells)
         out = label_components(mask)
         oracle = flood_components(cells)
@@ -55,6 +87,14 @@ class TestLabelComponents:
             assert got == pixels
             assert region.area == len(pixels)
         assert sum(r.area for r in out.regions) == int(cells.sum())
+
+    @pytest.mark.parametrize("cells", list(REFERENCE_CASES.values()), ids=list(REFERENCE_CASES))
+    def test_matches_reference_labeler(self, cells):
+        out = label_components(BinaryMask(cells))
+        ref = reference_label_components(BinaryMask(cells))
+        assert out.labels.dtype == np.int32 and out.labels.flags.c_contiguous
+        assert np.array_equal(out.labels, ref.labels)
+        assert out.regions == ref.regions
 
     @given(st.integers(0, 2**32 - 1))
     def test_labels_dense_and_stats_consistent(self, seed):
