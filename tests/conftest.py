@@ -1,13 +1,26 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
-from layermet.image import _WHITESPACE, BinaryMask, PgmError, _bresenham, _next_token
+from layermet.font import GLYPH_ADVANCE, GLYPH_WIDTH, glyph
+from layermet.image import (
+    _WHITESPACE,
+    CAPTION_BAND,
+    MAX_OVERLAY_LINES,
+    TINT_ALPHA,
+    BinaryMask,
+    GrayImage,
+    PgmError,
+    _bresenham,
+    _next_token,
+)
 from layermet.postprocess import LabeledRegions, RegionStats
 from layermet.synth import CURVE_OVERSAMPLE, SynthSpec, centerline
 from layermet.measure import (
@@ -264,6 +277,70 @@ def reference_overlay_chords(report, cells: np.ndarray) -> tuple[list, set]:
             if 0 <= x < w and 0 <= y < h and cells[y, x]:
                 pixels.add((y, x))
     return ends, pixels
+
+
+def reference_render_overlay(image: GrayImage, mask: BinaryMask, report=None, caption: str = "") -> np.ndarray:
+    """`image.render_overlay` as it was before its tint became a 256-entry
+    table: a float64 RGB copy of the frame, three boolean gathers and one
+    `rint` over the whole frame. Returns the uint8 (h, w, 3) pixels."""
+    gray = image.to_u8().astype(np.float64)
+    rgb = np.repeat(gray[:, :, None], 3, axis=2)
+    tinted = (1.0 - TINT_ALPHA) * gray + TINT_ALPHA * 255.0
+    shaded = (1.0 - TINT_ALPHA) * gray
+    cells = mask.cells
+    rgb[cells, 0] = shaded[cells]
+    rgb[cells, 1] = tinted[cells]
+    rgb[cells, 2] = shaded[cells]
+    out = np.rint(rgb).astype(np.uint8)
+
+    if report is not None:
+        picks = np.rint(np.linspace(0, report.n - 1, min(MAX_OVERLAY_LINES, report.n))).astype(int)
+        ends = np.rint(np.hstack([report.upper[picks], report.lower[picks]])).astype(int)
+        h, w = cells.shape
+        for x0, y0, x1, y1 in ends.tolist():
+            for x, y in _bresenham(x0, y0, x1, y1):
+                if 0 <= x < w and 0 <= y < h and cells[y, x]:
+                    out[y, x] = 0
+
+    if caption:
+        band = min(CAPTION_BAND, image.height)
+        out[:band, :, :] = 0
+        x = 1
+        for ch in caption:
+            if x + GLYPH_WIDTH > image.width:
+                break
+            lit = np.array([[c == "1" for c in row] for row in glyph(ch)])[: image.height - 1]
+            out[1 : 1 + len(lit), x : x + GLYPH_WIDTH][lit] = 255
+            x += GLYPH_ADVANCE
+    return out
+
+
+def png_chunks(data: bytes) -> list[tuple[bytes, bytes]]:
+    """(tag, payload) of each chunk of a PNG, read with `struct`; asserts the
+    signature, every length and every CRC."""
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(data):
+        length, tag = struct.unpack(">I4s", data[pos : pos + 8])
+        payload = data[pos + 8 : pos + 8 + length]
+        (crc,) = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])
+        assert len(payload) == length and crc == zlib.crc32(tag + payload), f"bad {tag!r} chunk"
+        chunks.append((tag, payload))
+        pos += 12 + length
+    return chunks
+
+
+def decode_png(data: bytes) -> np.ndarray:
+    """The (height, width, 3) uint8 pixels of an 8-bit RGB, non-interlaced
+    PNG whose rows all use filter 0, decoded with plain `zlib`."""
+    chunks = png_chunks(data)
+    (tag, ihdr), last = chunks[0], chunks[-1]
+    width, height, depth, color, _, _, interlace = struct.unpack(">IIBBBBB", ihdr)
+    assert tag == b"IHDR" and (depth, color, interlace) == (8, 2, 0) and last == (b"IEND", b"")
+    raw = zlib.decompress(b"".join(payload for tag, payload in chunks if tag == b"IDAT"))
+    rows = np.frombuffer(raw, np.uint8).reshape(height, 1 + 3 * width)
+    assert not rows[:, 0].any(), "a row uses a filter other than 0"
+    return rows[:, 1:].reshape(height, width, 3)
 
 
 def _row_major_im2col(x: np.ndarray, k: int) -> np.ndarray:

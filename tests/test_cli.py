@@ -6,14 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layermet.cli import MAX_SYNTH_SIDE, main
-from layermet.image import BinaryMask, mask_to_pgm, pgm_to_mask, write_pgm
+from layermet.cli import MAX_SYNTH_SIDE, main, write_png, write_ppm
+from layermet.image import BinaryMask, GrayImage, RgbImage, mask_to_pgm, pgm_to_mask, render_overlay, write_pgm
 from layermet.nnet import build_rcnn, build_segmenter, load_model, save_model
 from layermet.nnet.layers import BN_EPS, BatchNorm2d, Conv2d, Dense
 from layermet.postprocess import label_components
 from layermet.synth import SynthRanges, SynthSpec, generate, generate_batch
 
-from conftest import band_mask
+from conftest import band_mask, decode_png, png_chunks
 
 
 def craft_threshold_segmenter(gain=8.0, threshold=0.5):
@@ -344,6 +344,27 @@ class TestSegmentCommand:
         assert "(byte 28)" in capsys.readouterr().err
 
 
+class TestWritePng:
+    @pytest.mark.parametrize(
+        "height, width", [(7, 1), (5, 3), (9, 100), (1, 50)], ids=["width1", "width3", "width100", "one_row"]
+    )
+    def test_round_trip_to_ppm_pixels(self, height, width):
+        pixels = np.random.default_rng(height * width).integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+        self._assert_round_trip(RgbImage(pixels))
+
+    def test_round_trip_caption_only_overlay(self):
+        gray = GrayImage(np.random.default_rng(3).random((20, 60)))
+        self._assert_round_trip(render_overlay(gray, BinaryMask(np.zeros((20, 60), bool)), caption="MT=1.00"))
+
+    @staticmethod
+    def _assert_round_trip(rgb: RgbImage):
+        png = write_png(rgb)
+        idat = b"".join(payload for tag, payload in png_chunks(png) if tag == b"IDAT")
+        assert idat[:2] == b"\x78\x01"  # zlib header of deflate level 1
+        ppm = write_ppm(rgb)
+        assert decode_png(png).tobytes() == ppm[len(f"P6\n{rgb.width} {rgb.height}\n255\n") :]
+
+
 class TestMeasureCommand:
     @pytest.fixture()
     def flat_mask_file(self, tmp_path):
@@ -401,8 +422,20 @@ class TestMeasureCommand:
         png = tmp_path / "overlay.png"
         main(["measure", "--mask", str(flat_mask_file), "--overlay", str(ppm), "--quiet"])
         main(["measure", "--mask", str(flat_mask_file), "--overlay", str(png), "--quiet"])
-        assert ppm.read_bytes().startswith(b"P6\n100 64\n255\n")
-        assert png.read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
+        header = b"P6\n100 64\n255\n"
+        assert ppm.read_bytes().startswith(header)
+        assert decode_png(png.read_bytes()).tobytes() == ppm.read_bytes()[len(header) :]
+
+    def test_image_without_overlay_is_usage_error(self, tmp_path, capsys):
+        # Neither file exists: reading either one would exit 2.
+        report = tmp_path / "r.json"
+        mask, image = tmp_path / "m.pgm", tmp_path / "x.pgm"
+        args = ["measure", "--mask", str(mask), "--image", str(image), "--json", str(report)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "--image" in lines[0] and "--overlay" in lines[0]
+        assert captured.out == "" and not report.exists()
 
     def test_empty_mask_exit_3(self, tmp_path):
         path = tmp_path / "empty.pgm"

@@ -20,7 +20,7 @@ from layermet.image import (
 from layermet.measure import orthogonal_report, three_line_report
 from layermet.synth import SynthSpec, generate
 
-from conftest import band_mask, reference_overlay_chords, reference_read_pgm
+from conftest import band_mask, reference_overlay_chords, reference_read_pgm, reference_render_overlay
 from test_fuzz import BYTES, OPS, _mutate
 
 
@@ -292,6 +292,25 @@ class TestOverlay:
         expected = plain.copy()
         expected[blackened] = 0
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("caption", ["", "MT=10.00 SD=0.00"])
+    @pytest.mark.parametrize("with_report", [False, True], ids=["plain", "chords"])
+    @pytest.mark.parametrize("cells", ["empty", "full", "random", "band"])
+    def test_tint_table_matches_float_reference(self, cells, with_report, caption):
+        # A ramp over every gray level, so each entry of the tint table is read.
+        gray = normalize((np.arange(64 * 100) % 256).reshape(64, 100).astype(np.uint8))
+        band = band_mask(100, 20, 29, height=64)
+        masks = {
+            "empty": np.zeros((64, 100), dtype=bool),
+            "full": np.ones((64, 100), dtype=bool),
+            "random": np.random.default_rng(7).random((64, 100)) < 0.5,
+            "band": band.cells,
+        }
+        mask = BinaryMask(masks[cells])
+        report = orthogonal_report(band) if with_report else None
+        out = render_overlay(gray, mask, report=report, caption=caption).pixels
+        expected = reference_render_overlay(gray, mask, report=report, caption=caption)
+        assert out.dtype == expected.dtype and np.array_equal(out, expected)
 
     def test_dimension_mismatch(self):
         img = GrayImage(np.zeros((4, 4)))
