@@ -6,6 +6,7 @@ All randomness flows from --seed; there is no wall-clock or OS entropy.
 """
 
 import argparse
+import functools
 import json
 import math
 import struct
@@ -310,7 +311,10 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared: every
+    `parse_args` starts from a new namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="layermet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,6 +13,26 @@ returns its (out, N*H*W) product as a contiguous NCHW array. Handing the
 next layer the (C, N, H, W) view instead would save that copy, but batchnorm
 then reduces its mean, variance and sums in a different memory order and
 every gradient of the segmenter changes in the last bits.
+
+The other layers keep the results of their first numpy versions bit for bit.
+They avoid `np.where`, gathers and scatters, which branch or index per
+element and ran 5-10x slower than a plain ufunc pass of the same size:
+
+- ReLU's forward is `np.fmax(x, 0.0)`. It maps -0.0, NaN and -inf to +0.0
+  exactly as `np.where(x > 0, x, 0.0)` did; `np.maximum` would pass NaN on.
+- MaxPool2 picks the first maximum of each 2x2 block in scan order, as
+  `argmax` did: first between the two columns of each row, then between the
+  two rows, where an element wins only if it is larger, or NaN against a
+  number. Each pick is a branch-free XOR blend of int64 views. A
+  train-mode forward keeps a uint8 winner index (0 to 3 in scan order), and
+  backward writes `dy` to the winner of each block and +0.0 elsewhere.
+- A masked gradient, `np.where(mask, dy, 0.0)`, is `dy`'s bits ANDed with
+  all-ones or all-zero words (`_masked`).
+- BatchNorm2d computes each sum from the same operands in the same order as
+  `mean`, `var` and its first formulas did, and reuses its temporaries.
+- Upsample2's backward adds the four strided views of `dy` in the order
+  numpy's two-axis sum did. Its forward keeps `repeat`, which measured faster
+  here than a `broadcast_to` and `reshape` copy.
 """
 
 import math
@@ -43,6 +63,27 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 def _to_nchw(y: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     """Contiguous (N, C, H, W) copy of a (C, N*H*W) product."""
     return np.ascontiguousarray(y.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
+
+
+def _masked(a: np.ndarray, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`np.where(keep, a, 0.0)` bit for bit, written to `out` if given."""
+    bits = np.bitwise_and(
+        a.view(np.int64), np.negative(keep, dtype=np.int64), out=None if out is None else out.view(np.int64)
+    )
+    return bits.view(np.float64)
+
+
+def _first_max(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where `first` stays the maximum of each pair, and that maximum: `second`
+    wins only if it is larger, or NaN where `first` is a number."""
+    keep = first >= second
+    keep |= np.isnan(first)
+    # np.where(keep, first, second) bit for bit, as an XOR blend of int64 views
+    other = second.view(np.int64)
+    bits = first.view(np.int64) ^ other
+    bits &= np.negative(keep, dtype=np.int64)
+    bits ^= other
+    return keep, bits.view(np.float64)
 
 
 class Layer:
@@ -118,11 +159,14 @@ class ReLU(Layer):
         self._mask = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        if train:
+            self._mask = x > 0
+        return np.fmax(x, 0.0)
 
     def backward(self, dy):
-        return np.where(self._mask, dy, 0.0)
+        if self._mask is None:
+            raise RuntimeError("relu backward without a cached train-mode forward")
+        return _masked(dy, self._mask)
 
 
 class BatchNorm2d(Layer):
@@ -149,33 +193,48 @@ class BatchNorm2d(Layer):
     def forward(self, x, train=False):
         if x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expected {self.channels} channels, got {x.shape}")
+        per_channel = (1, self.channels, 1, 1)
         if train:
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            xhat = x - mean.reshape(per_channel)
+            y = np.square(xhat)
+            var = y.mean(axis=(0, 2, 3))  # x.var: the same deviations, squared and averaged
             self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:
-            mean, var = self.running_mean, self.running_var
+            xhat = x - self.running_mean.reshape(per_channel)
+            var = self.running_var
+            y = xhat  # nothing is cached, so the output overwrites xhat
         ivar = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean[None, :, None, None]) * ivar[None, :, None, None]
+        xhat *= ivar.reshape(per_channel)
         if train:
             self._cache = (xhat, ivar, x.shape[0] * x.shape[2] * x.shape[3])
-        return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+        np.multiply(xhat, self.gamma.reshape(per_channel), out=y)
+        y += self.beta.reshape(per_channel)
+        return y
 
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("batchnorm backward without a cached train-mode forward")
         xhat, ivar, m = self._cache
-        self.dgamma[:] = (dy * xhat).sum(axis=(0, 2, 3))
+        per_channel = (1, self.channels, 1, 1)
+        prod = dy * xhat
+        self.dgamma[:] = prod.sum(axis=(0, 2, 3))
         self.dbeta[:] = dy.sum(axis=(0, 2, 3))
-        dxhat = dy * self.gamma[None, :, None, None]
-        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return (ivar[None, :, None, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        dx = dy * self.gamma.reshape(per_channel)  # dxhat until scaled below
+        sum_dxhat = dx.sum(axis=(0, 2, 3), keepdims=True)
+        sum_dxhat_xhat = np.multiply(dx, xhat, out=prod).sum(axis=(0, 2, 3), keepdims=True)
+        # (ivar / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat), in place
+        dx *= m
+        dx -= sum_dxhat
+        dx -= np.multiply(xhat, sum_dxhat_xhat, out=prod)
+        dx *= ivar.reshape(per_channel) / m
+        return dx
 
 
 class MaxPool2(Layer):
-    """2x2 max pooling with stride 2; ties go to the first element in scan order."""
+    """2x2 max pooling with stride 2; ties go to the first element in scan order,
+    and a NaN beats every number."""
 
     kind = "maxpool2"
 
@@ -183,21 +242,26 @@ class MaxPool2(Layer):
         self._cache = None
 
     def forward(self, x, train=False):
-        n, c, h, w = x.shape
+        _, _, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"maxpool2 needs even spatial dims, got {x.shape}")
-        blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, h // 2, w // 2, 4
-        )
-        idx = blocks.argmax(axis=-1)
-        self._cache = (idx, x.shape)
-        return np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+        left, rows = _first_max(x[:, :, :, 0::2], x[:, :, :, 1::2])
+        top, y = _first_max(rows[:, :, 0::2], rows[:, :, 1::2])
+        if train:
+            bottom = ~top
+            right_top, right_bottom = ~left[:, :, 0::2], ~left[:, :, 1::2]
+            right = right_top ^ ((right_top ^ right_bottom) & bottom)
+            self._cache = (2 * bottom.view(np.uint8) + right.view(np.uint8), x.shape)
+        return y
 
     def backward(self, dy):
-        idx, (n, c, h, w) = self._cache
-        out = np.zeros((n, c, h // 2, w // 2, 4))
-        np.put_along_axis(out, idx[..., None], dy[..., None], axis=-1)
-        return out.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        if self._cache is None:
+            raise RuntimeError("maxpool2 backward without a cached train-mode forward")
+        win, shape = self._cache
+        dx = np.empty(shape)
+        for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            _masked(dy, win == k, out=dx[:, :, i::2, j::2])
+        return dx
 
 
 class Upsample2(Layer):
@@ -209,8 +273,16 @@ class Upsample2(Layer):
         return x.repeat(2, axis=2).repeat(2, axis=3)
 
     def backward(self, dy):
-        n, c, h, w = dy.shape
-        return dy.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+        # Each row's column pair, then the two rows: the order in which
+        # numpy's sum(axis=(3, 5)) of the (N, C, H/2, 2, W/2, 2) view adds.
+        # At width 2 the four terms lie together and it adds them in turn.
+        dx = dy[:, :, 0::2, 0::2] + dy[:, :, 0::2, 1::2]
+        if dy.shape[3] == 2:
+            dx += dy[:, :, 1::2, 0::2]
+            dx += dy[:, :, 1::2, 1::2]
+        else:
+            dx += dy[:, :, 1::2, 0::2] + dy[:, :, 1::2, 1::2]
+        return dx
 
 
 class Dropout(Layer):

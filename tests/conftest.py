@@ -21,6 +21,7 @@ from layermet.image import (
     _bresenham,
     _next_token,
 )
+from layermet.nnet.layers import BN_EPS, BN_MOMENTUM
 from layermet.postprocess import LabeledRegions, RegionStats
 from layermet.synth import CURVE_OVERSAMPLE, SynthSpec, centerline
 from layermet.measure import (
@@ -371,6 +372,59 @@ def reference_conv2d(weight: np.ndarray, bias: np.ndarray, x: np.ndarray, dy: np
     dx = _row_major_im2col(dy, k) @ w_rev.reshape(in_ch, -1).T
     dx = np.ascontiguousarray(dx.reshape(n, h, w, in_ch).transpose(0, 3, 1, 2))
     return y, dweight, dbias, dx
+
+
+def reference_relu(x: np.ndarray, dy: np.ndarray):
+    """`layers.ReLU` as it was before it used `np.fmax`: (output, input gradient)."""
+    mask = x > 0
+    return np.where(mask, x, 0.0), np.where(mask, dy, 0.0)
+
+
+def reference_maxpool2(x: np.ndarray, dy: np.ndarray):
+    """`layers.MaxPool2` as it was before it compared strided views: an
+    `argmax` over each block laid out by a transpose copy. Returns (output,
+    input gradient)."""
+    n, c, h, w = x.shape
+    blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
+    idx = blocks.argmax(axis=-1)
+    y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    out = np.zeros((n, c, h // 2, w // 2, 4))
+    np.put_along_axis(out, idx[..., None], dy[..., None], axis=-1)
+    dx = out.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    return y, dx
+
+
+def reference_upsample2(x: np.ndarray, dy: np.ndarray):
+    """`layers.Upsample2` as it was before its backward added strided views:
+    (output, input gradient)."""
+    n, c, h, w = dy.shape
+    return x.repeat(2, axis=2).repeat(2, axis=3), dy.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+
+
+def reference_batchnorm2d(x, dy, gamma, beta, running_mean, running_var):
+    """`layers.BatchNorm2d` as it was before its in-place passes, on one
+    train-mode forward and backward and then one inference forward. Returns
+    the train output, input gradient, dgamma, dbeta, the updated running mean
+    and variance, and the inference output."""
+    momentum, eps = BN_MOMENTUM, BN_EPS
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    running_mean = (1 - momentum) * running_mean + momentum * mean
+    running_var = (1 - momentum) * running_var + momentum * var
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * ivar[None, :, None, None]
+    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
+    dbeta = dy.sum(axis=(0, 2, 3))
+    dxhat = dy * gamma[None, :, None, None]
+    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    dx = (ivar[None, :, None, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    r_ivar = 1.0 / np.sqrt(running_var + eps)
+    r_xhat = (x - running_mean[None, :, None, None]) * r_ivar[None, :, None, None]
+    y_infer = gamma[None, :, None, None] * r_xhat + beta[None, :, None, None]
+    return y, dx, dgamma, dbeta, running_mean, running_var, y_infer
 
 
 def reference_box_blur(a: np.ndarray, radius: int) -> np.ndarray:

@@ -602,3 +602,35 @@ class TestUsage:
         captured = capsys.readouterr()
         assert "error: argument" in captured.err and captured.out == ""
         assert not (tmp_path / "out").exists()
+
+
+class TestOneProcess:
+    """Sequential `main` calls share the parser and nothing else."""
+
+    @pytest.fixture()
+    def mask_file(self, tmp_path):
+        path = tmp_path / "band.pgm"
+        spec = SynthSpec(width=160, height=64, thickness=12, tilt_deg=15, seed=1)
+        path.write_bytes(mask_to_pgm(generate(spec).truth_mask))
+        return path
+
+    def test_method_does_not_carry_over(self, tmp_path, mask_file):
+        report = tmp_path / "report.json"
+        args = ["measure", "--mask", str(mask_file), "--json", str(report), "--quiet"]
+        assert main([*args, "--method", "three-line"]) == 0
+        assert json.loads(report.read_text())["method"] == "three_line"
+        assert main(args) == 0
+        assert json.loads(report.read_text())["method"] == "orthogonal"
+
+    def test_quiet_does_not_carry_over(self, mask_file, capsys):
+        assert main(["measure", "--mask", str(mask_file), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["measure", "--mask", str(mask_file)]) == 0
+        assert capsys.readouterr().out.startswith("MT=")
+
+    @pytest.mark.parametrize("first, code", [(["measure"], 1), (["--help"], 0), (["measure", "--help"], 0)])
+    def test_valid_call_after_usage_error_or_help(self, mask_file, capsys, first, code):
+        assert main(first) == code
+        assert capsys.readouterr().out.startswith("usage:") == (code == 0)
+        assert main(["measure", "--mask", str(mask_file)]) == 0
+        assert capsys.readouterr().out.startswith("MT=")

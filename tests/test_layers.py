@@ -6,7 +6,19 @@ from layermet.nnet.gradcheck import ALL_KINDS, LOSSES, TOLERANCE, check_layer, r
 from layermet.nnet.layers import BatchNorm2d, Conv2d, Dense, Dropout, MaxPool2, ReLU, Upsample2
 from layermet.nnet.models import build_rcnn, build_segmenter, softmax
 
-from conftest import reference_conv2d
+from conftest import (
+    reference_batchnorm2d,
+    reference_conv2d,
+    reference_maxpool2,
+    reference_relu,
+    reference_upsample2,
+)
+
+# (height, width) of the benchmark's inspect images after segment_image pads
+# them to multiples of 16
+INSPECT_PADDED = ((48, 80), (64, 96), (80, 128), (96, 160), (64, 112), (48, 64), (80, 144), (112, 208))
+NON_CONV = ("relu", "batchnorm", "maxpool2", "upsample2")
+REFERENCES = {"relu": reference_relu, "maxpool2": reference_maxpool2, "upsample2": reference_upsample2}
 
 
 def _conv_cases(model, x):
@@ -115,6 +127,118 @@ class TestForwardSemantics:
         dx = conv.backward(np.zeros((2, 3, 4, 4)))
         assert (dx == 0).all()
         assert (conv.dweight == 0).all() and (conv.dbias == 0).all()
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bits, so -0.0 differs from +0.0 and NaNs compare."""
+    bits = [np.ascontiguousarray(v).view(np.int64) for v in (a, b)]
+    return a.shape == b.shape and np.array_equal(*bits)
+
+
+def _assert_matches_reference(kind: str, x: np.ndarray, rng) -> None:
+    """A fresh layer of `kind` gives its reference's bits in an inference
+    forward, a train-mode forward and backward, and (batchnorm) the running
+    statistics and a later inference forward."""
+    if kind == "batchnorm":
+        bn = BatchNorm2d(x.shape[1])
+        for value in (bn.gamma, bn.beta, bn.running_mean):
+            value[:] = rng.normal(size=value.shape)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+        state = [a.copy() for a in (bn.gamma, bn.beta, bn.running_mean, bn.running_var)]
+        dy = rng.normal(size=x.shape)
+        y, dx, dgamma, dbeta, running_mean, running_var, y_infer = reference_batchnorm2d(x, dy, *state)
+        assert _same(bn.forward(x, train=True), y)
+        assert _same(bn.backward(dy), dx)
+        assert _same(bn.dgamma, dgamma) and _same(bn.dbeta, dbeta)
+        assert _same(bn.running_mean, running_mean) and _same(bn.running_var, running_var)
+        assert _same(bn.forward(x), y_infer)
+        return
+    layer = {"relu": ReLU, "maxpool2": MaxPool2, "upsample2": Upsample2}[kind]()
+    y_infer = layer.forward(x)
+    dy = rng.normal(size=y_infer.shape)
+    y, dx = REFERENCES[kind](x, dy)
+    assert _same(y_infer, y)
+    assert _same(layer.forward(x, train=True), y)
+    assert _same(layer.backward(dy), dx)
+
+
+class TestNonConvAgainstReference:
+    """ReLU, MaxPool2, BatchNorm2d and Upsample2 against their first numpy
+    versions in `conftest.py`, on the inputs each meets in the nets."""
+
+    @pytest.mark.parametrize(
+        "net, shape",
+        [("segmenter", (4, 1, 48, 80)), ("rcnn", (4, 1, 64, 256))]
+        + [("segmenter", (1, 1, h, w)) for h, w in INSPECT_PADDED],
+    )
+    def test_layers_in_net(self, net, shape, rng):
+        if net == "segmenter":
+            model, x = build_segmenter(1), rng.uniform(size=shape)
+        else:
+            model, x = build_rcnn(1), (rng.uniform(size=shape) > 0.5) * 1.0
+        for kind in NON_CONV:
+            _assert_matches_reference(kind, x, rng)
+        seen = set()
+        for layer in model.layers:
+            if layer.kind in NON_CONV:
+                _assert_matches_reference(layer.kind, x, rng)
+                seen.add(layer.kind)
+            x = layer.forward(x, train=True)
+        assert seen == (set(NON_CONV) if net == "segmenter" else {"relu", "maxpool2"})
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 2, 2), (3, 2, 6, 2), (2, 3, 2, 8), (1, 2, 10, 2), (2, 1, 4, 1), (3, 2, 5, 1)]
+    )
+    def test_narrow_shapes(self, shape, rng):
+        # widths 1 and 2 reach the layouts where numpy's two-axis sum adds in another order
+        x = rng.normal(size=shape) * np.exp(rng.uniform(0.0, 30.0, size=shape))
+        for kind in ("relu", "batchnorm", "upsample2") + (("maxpool2",) if shape[3] % 2 == 0 else ()):
+            _assert_matches_reference(kind, x, rng)
+
+    def test_relu_special_values(self):
+        x = np.array([-0.0, 0.0, np.nan, -np.nan, -np.inf, np.inf, -5e-324, 5e-324])
+        expected = np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.inf, 0.0, 5e-324])
+        for train in (False, True):
+            y = ReLU().forward(x, train=train)
+            assert y.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.0, 1.0, 2.0),  # 2-4 equal maxima in many blocks
+            (-0.0, 0.0, -1.0),  # signed zeros tie
+            (np.nan, -np.nan, 1.0, -0.0, 0.0, np.inf, -np.inf),
+            (0.0, 1.0),  # a 0/1 mask
+        ],
+    )
+    def test_maxpool_ties(self, values, rng):
+        x = rng.choice(np.array(values), size=(3, 4, 8, 12))
+        x[0, 0] = 1.0  # whole blocks of one value
+        x[0, 1] = 0.0
+        blocks = x.reshape(3, 4, 4, 2, 6, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
+        if not np.isnan(blocks).any():
+            ties = (blocks == blocks.max(axis=1, keepdims=True)).sum(axis=1)
+            assert {2, 3, 4} <= set(ties.tolist())
+        routes = rng.permutation(x.size // 4).reshape(3, 4, 4, 6) + 1.0  # a distinct value per block
+        for dy in (routes, rng.choice(np.array(values), size=routes.shape)):
+            y, dx = reference_maxpool2(x, dy)
+            pool = MaxPool2()
+            assert _same(pool.forward(x), y)
+            assert _same(pool.forward(x, train=True), y)
+            assert _same(pool.backward(dy), dx)
+
+    @pytest.mark.parametrize("kind", ("conv2d", "relu", "batchnorm", "maxpool2", "dense"))
+    def test_backward_needs_train_forward(self, kind, rng):
+        layer = {
+            "conv2d": lambda: Conv2d(2, 3, 3, rng),
+            "relu": ReLU,
+            "batchnorm": lambda: BatchNorm2d(2),
+            "maxpool2": MaxPool2,
+            "dense": lambda: Dense(32, 3, rng),
+        }[kind]()
+        y = layer.forward(rng.normal(size=(2, 2, 4, 4)))
+        with pytest.raises(RuntimeError, match=f"{kind} backward without a cached train-mode forward"):
+            layer.backward(np.ones_like(y))
 
 
 class TestBatchNorm:
