@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .layers import KIND_CODES, BatchNorm2d, Layer
-from .models import Model, RCNN_ARCH, SEG_ARCH, build_rcnn, build_segmenter
+from .models import Model, _blank_model
 
 MAGIC = b"LMET"
 VERSION = 2
@@ -98,11 +98,8 @@ def load_model(data: bytes) -> Model:
     if version != VERSION:
         raise ModelFormatError(f"unsupported format version {version}", 4)
     (arch,) = reader.take("<B")
-    if arch == SEG_ARCH:
-        model = build_segmenter(0)
-    elif arch == RCNN_ARCH:
-        model = build_rcnn(0)
-    else:
+    model = _blank_model(arch)
+    if model is None:
         raise ArchitectureMismatchError(f"unknown architecture tag {arch}", 8)
 
     for layer in model.layers:

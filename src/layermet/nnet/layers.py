@@ -5,10 +5,22 @@ their input to (N, F)). Every layer caches what its backward pass needs during
 a train-mode forward; backward returns the input gradient and fills
 per-parameter gradients retrievable via `grads()`.
 
+A cache lives from the train-mode forward that writes it to the backward that
+reads it, so a trained model holds only its parameters, gradients and running
+statistics. Each backward takes its cache out of the layer on entry, so the
+cache is freed as soon as that backward stops reading it:
+`Conv2d.backward_params` frees the patch matrix once `dweight` is formed,
+before the input gradient builds the patch matrix of `dy`; BatchNorm2d frees
+`xhat`, ReLU and Dropout their masks, MaxPool2 its winner index and Dense its
+input (after `dweight`) when their backward returns. A second backward
+without a new train-mode forward raises `RuntimeError`, as a backward after an
+inference forward does.
+
 Convolution is unrolled into one matrix product (Chellapilla et al., 2006).
 The patch matrix is channel-major, (C*k*k, N*H*W): row (c, i, j) holds the
 padded input shifted by (i, j) for channel c, so it is filled by k*k slice
-copies and the weight matrix (out, C*k*k) multiplies it directly. Each conv
+copies, each writing its own zero border instead of reading a padded copy of
+the input, and the weight matrix (out, C*k*k) multiplies it directly. Each conv
 returns its (out, N*H*W) product as a contiguous NCHW array. Handing the
 next layer the (C, N, H, W) view instead would save that copy, but batchnorm
 then reduces its mean, variance and sums in a different memory order and
@@ -27,7 +39,8 @@ element and ran 5-10x slower than a plain ufunc pass of the same size:
   train-mode forward keeps a uint8 winner index (0 to 3 in scan order), and
   backward writes `dy` to the winner of each block and +0.0 elsewhere.
 - A masked gradient, `np.where(mask, dy, 0.0)`, is `dy`'s bits ANDed with
-  all-ones or all-zero words (`_masked`).
+  all-ones or all-zero words (`_masked`); Dropout masks its scaled input and
+  gradient the same way.
 - BatchNorm2d computes each sum from the same operands in the same order as
   `mean`, `var` and its first formulas did, and reuses its temporaries.
 - Upsample2's backward adds the four strided views of `dy` in the order
@@ -52,11 +65,21 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """Channel-major patch matrix (C*k*k, N*H*W) of same-padded k x k windows."""
     n, c, h, w = x.shape
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    xt = x.transpose(1, 0, 2, 3)
     col = np.empty((c, k, k, n, h, w))
     for i in range(k):
+        # output row r reads input row r + di, which exists for r in [top, bottom)
+        di = i - p
+        top, bottom = min(max(-di, 0), h), max(min(h - di, h), 0)
         for j in range(k):
-            col[:, i, j] = xp[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
+            dj = j - p
+            left, right = min(max(-dj, 0), w), max(min(w - dj, w), 0)
+            window = col[:, i, j]  # (C, N, H, W)
+            window[:, :, :top] = 0.0
+            window[:, :, bottom:] = 0.0
+            window[:, :, top:bottom, :left] = 0.0
+            window[:, :, top:bottom, right:] = 0.0
+            window[:, :, top:bottom, left:right] = xt[:, :, top + di : bottom + di, left + dj : right + dj]
     return col.reshape(c * k * k, n * h * w)
 
 
@@ -116,7 +139,6 @@ class Conv2d(Layer):
         self.dweight = np.zeros_like(self.weight)
         self.dbias = np.zeros_like(self.bias)
         self._col = None
-        self._shape = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -130,23 +152,25 @@ class Conv2d(Layer):
         n, _, h, w = x.shape
         col = _im2col(x, self.ksize)
         if train:
-            self._col, self._shape = col, x.shape
+            self._col = col
         y = self.weight.reshape(self.out_ch, -1) @ col
         y += self.bias[:, None]
         return _to_nchw(y, n, h, w)
 
     def backward_params(self, dy):
-        """Fill `dweight` and `dbias` from the output gradient; no input gradient."""
+        """Fill `dweight` and `dbias` from the output gradient and release the
+        patch matrix; no input gradient."""
         if self._col is None:
             raise RuntimeError("conv2d backward without a cached train-mode forward")
-        n, _, h, w = self._shape
+        col, self._col = self._col, None
+        n, _, h, w = dy.shape
         dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * w, self.out_ch)
         self.dbias[:] = dy_mat.sum(axis=0)
-        self.dweight[:] = (dy_mat.T @ self._col.T).reshape(self.weight.shape)
+        np.matmul(dy_mat.T, col.T, out=self.dweight.reshape(self.out_ch, -1))
 
     def backward(self, dy):
         self.backward_params(dy)
-        n, _, h, w = self._shape
+        n, _, h, w = dy.shape
         # Input gradient is the correlation of dy with the flipped, transposed kernel.
         w_rev = self.weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         return _to_nchw(w_rev.reshape(self.in_ch, -1) @ _im2col(dy, self.ksize), n, h, w)
@@ -166,7 +190,8 @@ class ReLU(Layer):
     def backward(self, dy):
         if self._mask is None:
             raise RuntimeError("relu backward without a cached train-mode forward")
-        return _masked(dy, self._mask)
+        mask, self._mask = self._mask, None
+        return _masked(dy, mask)
 
 
 class BatchNorm2d(Layer):
@@ -216,7 +241,7 @@ class BatchNorm2d(Layer):
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("batchnorm backward without a cached train-mode forward")
-        xhat, ivar, m = self._cache
+        (xhat, ivar, m), self._cache = self._cache, None
         per_channel = (1, self.channels, 1, 1)
         prod = dy * xhat
         self.dgamma[:] = prod.sum(axis=(0, 2, 3))
@@ -239,7 +264,7 @@ class MaxPool2(Layer):
     kind = "maxpool2"
 
     def __init__(self):
-        self._cache = None
+        self._win = None
 
     def forward(self, x, train=False):
         _, _, h, w = x.shape
@@ -251,14 +276,15 @@ class MaxPool2(Layer):
             bottom = ~top
             right_top, right_bottom = ~left[:, :, 0::2], ~left[:, :, 1::2]
             right = right_top ^ ((right_top ^ right_bottom) & bottom)
-            self._cache = (2 * bottom.view(np.uint8) + right.view(np.uint8), x.shape)
+            self._win = 2 * bottom.view(np.uint8) + right.view(np.uint8)
         return y
 
     def backward(self, dy):
-        if self._cache is None:
+        if self._win is None:
             raise RuntimeError("maxpool2 backward without a cached train-mode forward")
-        win, shape = self._cache
-        dx = np.empty(shape)
+        win, self._win = self._win, None
+        n, c, h, w = dy.shape
+        dx = np.empty((n, c, 2 * h, 2 * w))
         for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
             _masked(dy, win == k, out=dx[:, :, i::2, j::2])
         return dx
@@ -298,16 +324,24 @@ class Dropout(Layer):
         self._mask = None
 
     def forward(self, x, train=False):
-        if not train or self.p == 0.0:
+        if not train:
             self._mask = None
             return x
+        if self.p == 0.0:
+            self._mask = True  # every unit kept: backward passes dy through
+            return x
         self._mask = self.rng.random(x.shape) >= self.p
-        return np.where(self._mask, x / (1.0 - self.p), 0.0)
+        y = x / (1.0 - self.p)
+        return _masked(y, self._mask, out=y)
 
     def backward(self, dy):
         if self._mask is None:
+            raise RuntimeError("dropout backward without a cached train-mode forward")
+        mask, self._mask = self._mask, None
+        if mask is True:
             return dy
-        return np.where(self._mask, dy / (1.0 - self.p), 0.0)
+        dx = dy / (1.0 - self.p)
+        return _masked(dx, mask, out=dx)
 
 
 class Dense(Layer):
@@ -341,7 +375,8 @@ class Dense(Layer):
     def backward(self, dy):
         if self._x is None:
             raise RuntimeError("dense backward without a cached train-mode forward")
-        self.dweight[:] = self._x.T @ dy
+        x, self._x = self._x, None
+        np.matmul(x.T, dy, out=self.dweight)
         self.dbias[:] = dy.sum(axis=0)
         return (dy @ self.weight.T).reshape(self._shape)
 

@@ -113,8 +113,34 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.mean(diff**2)), 2.0 * diff / diff.size
 
 
+class _ZeroDraws:
+    """Stands in for the weight generator of a model whose parameters are
+    overwritten next: each `he_uniform` draw becomes zeros."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 def build_segmenter(seed: int = 0) -> Model:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, SEG_ARCH]))
+    return _segmenter(np.random.default_rng(np.random.SeedSequence([seed, SEG_ARCH])))
+
+
+def build_rcnn(seed: int = 0) -> Model:
+    return _rcnn(np.random.default_rng(np.random.SeedSequence([seed, RCNN_ARCH])), seed)
+
+
+def _blank_model(arch: int) -> Model | None:
+    """The `arch` net with zero weights and the dropout streams of seed 0, for
+    a loader to fill; None for an unknown tag."""
+    if arch == SEG_ARCH:
+        return _segmenter(_ZeroDraws())
+    if arch == RCNN_ARCH:
+        return _rcnn(_ZeroDraws(), 0)
+    return None
+
+
+def _segmenter(rng) -> Model:
     layers: list[Layer] = []
     for cin, cout in zip(ENCODER_CHANNELS, ENCODER_CHANNELS[1:]):
         layers += [Conv2d(cin, cout, 3, rng), ReLU(), BatchNorm2d(cout), MaxPool2()]
@@ -124,8 +150,7 @@ def build_segmenter(seed: int = 0) -> Model:
     return Model(SEG_ARCH, layers)
 
 
-def build_rcnn(seed: int = 0) -> Model:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, RCNN_ARCH]))
+def _rcnn(rng, dropout_seed: int) -> Model:
     layers: list[Layer] = []
     for i, block in enumerate(RCNN_BLOCKS):
         for cin, cout in zip(block, block[1:]):
@@ -133,7 +158,7 @@ def build_rcnn(seed: int = 0) -> Model:
         # Pool before dropout: dropout's 1/(1-p) rescale ahead of a max over
         # positive activations would inflate train-mode features relative to
         # inference and bias the regression output low.
-        drop_rng = np.random.default_rng(np.random.SeedSequence([seed, 7, i]))
+        drop_rng = np.random.default_rng(np.random.SeedSequence([dropout_seed, 7, i]))
         layers += [MaxPool2(), Dropout(RCNN_DROPOUT, drop_rng)]
     h, w = RCNN_INPUT[0] // 4, RCNN_INPUT[1] // 4
     widths = (RCNN_BLOCKS[-1][-1] * h * w,) + RCNN_DENSE

@@ -162,6 +162,21 @@ def _assert_matches_reference(kind: str, x: np.ndarray, rng) -> None:
     assert _same(layer.backward(dy), dx)
 
 
+CACHING = ("conv2d", "relu", "batchnorm", "maxpool2", "dropout", "dense")
+
+
+def _caching_layer(kind: str, rng):
+    """A layer of `kind` that takes a (2, 2, 4, 4) input."""
+    return {
+        "conv2d": lambda: Conv2d(2, 3, 3, rng),
+        "relu": ReLU,
+        "batchnorm": lambda: BatchNorm2d(2),
+        "maxpool2": MaxPool2,
+        "dropout": lambda: Dropout(0.5, rng),
+        "dense": lambda: Dense(32, 3, rng),
+    }[kind]()
+
+
 class TestNonConvAgainstReference:
     """ReLU, MaxPool2, BatchNorm2d and Upsample2 against their first numpy
     versions in `conftest.py`, on the inputs each meets in the nets."""
@@ -227,18 +242,24 @@ class TestNonConvAgainstReference:
             assert _same(pool.forward(x, train=True), y)
             assert _same(pool.backward(dy), dx)
 
-    @pytest.mark.parametrize("kind", ("conv2d", "relu", "batchnorm", "maxpool2", "dense"))
+    @pytest.mark.parametrize("kind", CACHING)
     def test_backward_needs_train_forward(self, kind, rng):
-        layer = {
-            "conv2d": lambda: Conv2d(2, 3, 3, rng),
-            "relu": ReLU,
-            "batchnorm": lambda: BatchNorm2d(2),
-            "maxpool2": MaxPool2,
-            "dense": lambda: Dense(32, 3, rng),
-        }[kind]()
+        layer = _caching_layer(kind, rng)
         y = layer.forward(rng.normal(size=(2, 2, 4, 4)))
         with pytest.raises(RuntimeError, match=f"{kind} backward without a cached train-mode forward"):
             layer.backward(np.ones_like(y))
+
+    @pytest.mark.parametrize("kind", CACHING)
+    def test_backward_releases_its_cache(self, kind, rng):
+        # one train-mode forward serves one backward
+        layer = _caching_layer(kind, rng)
+        y = layer.forward(rng.normal(size=(2, 2, 4, 4)), train=True)
+        dx = layer.backward(np.ones_like(y))
+        assert dx.shape == (2, 2, 4, 4)
+        with pytest.raises(RuntimeError, match=f"{kind} backward without a cached train-mode forward"):
+            layer.backward(np.ones_like(y))
+        layer.forward(rng.normal(size=(2, 2, 4, 4)), train=True)
+        assert layer.backward(np.ones_like(y)).shape == (2, 2, 4, 4)
 
 
 class TestBatchNorm:
@@ -278,6 +299,27 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p", (0.25, 0.5))
+    def test_matches_where_reference(self, p, rng):
+        # the masks of `np.where(mask, v / (1 - p), 0.0)`, on the signed
+        # zeros, NaNs and infinities as well
+        shape = (2, 16, 32, 64)
+        x = rng.normal(size=shape)
+        x.reshape(-1)[:8] = (-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324)
+        dy = rng.normal(size=shape)
+        drop = Dropout(p, np.random.default_rng(4))
+        mask = np.random.default_rng(4).random(shape) >= p
+        assert _same(drop.forward(x, train=True), np.where(mask, x / (1.0 - p), 0.0))
+        assert _same(drop.backward(dy), np.where(mask, dy / (1.0 - p), 0.0))
+
+    def test_zero_rate_passes_through(self, rng):
+        drop = Dropout(0.0, rng)
+        x, dy = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 4, 4))
+        assert drop.forward(x, train=True) is x
+        assert drop.backward(dy) is dy
+        with pytest.raises(RuntimeError, match="dropout backward without a cached train-mode forward"):
+            drop.backward(dy)
 
 
 class TestGradients:
