@@ -60,11 +60,7 @@ _INPUT_ERRORS = (
     MaskValueError,
     synth.SynthSpecError,
     ModelFormatError,
-    FileNotFoundError,
-    FileExistsError,
-    NotADirectoryError,
-    IsADirectoryError,
-    PermissionError,
+    OSError,
     ValueError,
 )
 _PIPELINE_ERRORS = (measure.MeasureError, EmptyPredictionError, DivergenceError)
@@ -266,6 +262,8 @@ def cmd_measure(args) -> int:
     mask = pgm_to_mask(mask_path.read_bytes())
     estimator = measure.orthogonal_report if args.method == "orthogonal" else measure.three_line_report
     report = estimator(mask, scale=args.scale)
+    if not (math.isfinite(report.mean_scaled) and math.isfinite(report.sd_scaled)):
+        raise ValueError(f"--scale {args.scale:g} makes the scaled thickness overflow to infinity")
     if args.overlay:  # rendered before any output, so a bad --image leaves no file behind
         if args.image:
             image = _parse_image(Path(args.image).read_bytes())

@@ -129,14 +129,11 @@ class RgbImage:
 
 
 def normalize(raw) -> GrayImage:
-    """Scale an 8-bit grayscale grid to a [0, 1] GrayImage (value / 255)."""
+    """Scale an 8-bit grayscale grid to a [0, 1] GrayImage (value / 255);
+    `GrayImage` rejects a grid that is not 2-D and nonempty or leaves [0, 255]."""
     arr = np.asarray(raw)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"raw grid must be a nonempty 2-D grid, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"raw grid must be integer-valued, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() > 255:
-        raise ValueError("raw grid values must lie in [0, 255]")
     return GrayImage(arr.astype(np.float64) / 255.0)
 
 

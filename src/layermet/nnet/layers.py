@@ -5,16 +5,15 @@ their input to (N, F)). Every layer caches what its backward pass needs during
 a train-mode forward; backward returns the input gradient and fills
 per-parameter gradients retrievable via `grads()`.
 
-A cache lives from the train-mode forward that writes it to the backward that
-reads it, so a trained model holds only its parameters, gradients and running
-statistics. Each backward takes its cache out of the layer on entry, so the
-cache is freed as soon as that backward stops reading it:
+Each layer has one cache slot, `_cache`, which a train-mode forward fills
+and `Layer._take_cache` empties: every backward takes its cache on entry, so
+a trained model holds only its parameters, gradients and running statistics,
+and a cache is freed as soon as its backward stops reading it.
 `Conv2d.backward_params` frees the patch matrix once `dweight` is formed,
 before the input gradient builds the patch matrix of `dy`; BatchNorm2d frees
 `xhat`, ReLU and Dropout their masks, MaxPool2 its winner index and Dense its
-input (after `dweight`) when their backward returns. A second backward
-without a new train-mode forward raises `RuntimeError`, as a backward after an
-inference forward does.
+input (after `dweight`) when their backward returns. A backward raises
+`RuntimeError` unless a train-mode forward has cached since the last backward.
 
 Convolution is unrolled into one matrix product (Chellapilla et al., 2006).
 The patch matrix is channel-major, (C*k*k, N*H*W): row (c, i, j) holds the
@@ -111,6 +110,15 @@ def _first_max(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.nd
 
 class Layer:
     kind = "?"
+    _cache = None  # what backward needs, set by a train-mode forward
+
+    def _take_cache(self):
+        """The cache of the last train-mode forward, which the layer then drops."""
+        cache = self._cache
+        if cache is None:
+            raise RuntimeError(f"{self.kind} backward without a cached train-mode forward")
+        self._cache = None
+        return cache
 
     def params(self) -> list[np.ndarray]:
         return []
@@ -138,7 +146,6 @@ class Conv2d(Layer):
         self.bias = np.zeros(out_ch)
         self.dweight = np.zeros_like(self.weight)
         self.dbias = np.zeros_like(self.bias)
-        self._col = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -152,7 +159,7 @@ class Conv2d(Layer):
         n, _, h, w = x.shape
         col = _im2col(x, self.ksize)
         if train:
-            self._col = col
+            self._cache = col
         y = self.weight.reshape(self.out_ch, -1) @ col
         y += self.bias[:, None]
         return _to_nchw(y, n, h, w)
@@ -160,9 +167,7 @@ class Conv2d(Layer):
     def backward_params(self, dy):
         """Fill `dweight` and `dbias` from the output gradient and release the
         patch matrix; no input gradient."""
-        if self._col is None:
-            raise RuntimeError("conv2d backward without a cached train-mode forward")
-        col, self._col = self._col, None
+        col = self._take_cache()
         n, _, h, w = dy.shape
         dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * w, self.out_ch)
         self.dbias[:] = dy_mat.sum(axis=0)
@@ -179,19 +184,13 @@ class Conv2d(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def __init__(self):
-        self._mask = None
-
     def forward(self, x, train=False):
         if train:
-            self._mask = x > 0
+            self._cache = x > 0
         return np.fmax(x, 0.0)
 
     def backward(self, dy):
-        if self._mask is None:
-            raise RuntimeError("relu backward without a cached train-mode forward")
-        mask, self._mask = self._mask, None
-        return _masked(dy, mask)
+        return _masked(dy, self._take_cache())
 
 
 class BatchNorm2d(Layer):
@@ -207,7 +206,6 @@ class BatchNorm2d(Layer):
         self.running_var = np.ones(channels)
         self.dgamma = np.zeros_like(self.gamma)
         self.dbeta = np.zeros_like(self.beta)
-        self._cache = None
 
     def params(self):
         return [self.gamma, self.beta]
@@ -239,9 +237,7 @@ class BatchNorm2d(Layer):
         return y
 
     def backward(self, dy):
-        if self._cache is None:
-            raise RuntimeError("batchnorm backward without a cached train-mode forward")
-        (xhat, ivar, m), self._cache = self._cache, None
+        xhat, ivar, m = self._take_cache()
         per_channel = (1, self.channels, 1, 1)
         prod = dy * xhat
         self.dgamma[:] = prod.sum(axis=(0, 2, 3))
@@ -263,9 +259,6 @@ class MaxPool2(Layer):
 
     kind = "maxpool2"
 
-    def __init__(self):
-        self._win = None
-
     def forward(self, x, train=False):
         _, _, h, w = x.shape
         if h % 2 or w % 2:
@@ -276,13 +269,11 @@ class MaxPool2(Layer):
             bottom = ~top
             right_top, right_bottom = ~left[:, :, 0::2], ~left[:, :, 1::2]
             right = right_top ^ ((right_top ^ right_bottom) & bottom)
-            self._win = 2 * bottom.view(np.uint8) + right.view(np.uint8)
+            self._cache = 2 * bottom.view(np.uint8) + right.view(np.uint8)
         return y
 
     def backward(self, dy):
-        if self._win is None:
-            raise RuntimeError("maxpool2 backward without a cached train-mode forward")
-        win, self._win = self._win, None
+        win = self._take_cache()
         n, c, h, w = dy.shape
         dx = np.empty((n, c, 2 * h, 2 * w))
         for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
@@ -321,23 +312,19 @@ class Dropout(Layer):
             raise ValueError(f"dropout rate must be in [0, 1), got {p}")
         self.p = p
         self.rng = rng
-        self._mask = None
 
     def forward(self, x, train=False):
         if not train:
-            self._mask = None
             return x
         if self.p == 0.0:
-            self._mask = True  # every unit kept: backward passes dy through
+            self._cache = True  # every unit kept: backward passes dy through
             return x
-        self._mask = self.rng.random(x.shape) >= self.p
+        self._cache = mask = self.rng.random(x.shape) >= self.p
         y = x / (1.0 - self.p)
-        return _masked(y, self._mask, out=y)
+        return _masked(y, mask, out=y)
 
     def backward(self, dy):
-        if self._mask is None:
-            raise RuntimeError("dropout backward without a cached train-mode forward")
-        mask, self._mask = self._mask, None
+        mask = self._take_cache()
         if mask is True:
             return dy
         dx = dy / (1.0 - self.p)
@@ -355,8 +342,6 @@ class Dense(Layer):
         self.bias = np.zeros(n_out)
         self.dweight = np.zeros_like(self.weight)
         self.dbias = np.zeros_like(self.bias)
-        self._x = None
-        self._shape = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -369,16 +354,14 @@ class Dense(Layer):
             raise ValueError(f"dense expected (N,...) with {self.n_in} features, got {x.shape}")
         flat = x.reshape(x.shape[0], self.n_in)
         if train:
-            self._x, self._shape = flat, x.shape
+            self._cache = flat, x.shape
         return flat @ self.weight + self.bias
 
     def backward(self, dy):
-        if self._x is None:
-            raise RuntimeError("dense backward without a cached train-mode forward")
-        x, self._x = self._x, None
-        np.matmul(x.T, dy, out=self.dweight)
+        flat, shape = self._take_cache()
+        np.matmul(flat.T, dy, out=self.dweight)
         self.dbias[:] = dy.sum(axis=0)
-        return (dy @ self.weight.T).reshape(self._shape)
+        return (dy @ self.weight.T).reshape(shape)
 
 
 KIND_CODES = {

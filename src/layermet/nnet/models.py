@@ -185,6 +185,9 @@ def _check_uniform_dims(shapes: list[tuple[int, int]], divisor: int = 1) -> tupl
     return first
 
 
+# A step that overflows is reported once, as the DivergenceError its
+# non-finite loss raises, not also as numpy warnings from the layers.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_epochs(model: Model, x, y, cfg: TrainConfig, loss_fn) -> list[float]:
     """Shared SGD loop; `loss_fn(output, target)` returns (loss, output gradient)."""
     cfg.validate()

@@ -185,6 +185,15 @@ class TestTrainCommands:
         assert "positive finite" in captured.err and captured.out == ""
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("command", ["train-seg", "train-rcnn"])
+    def test_divergence_exit_3_with_one_error_line(self, tmp_path, data_dir, capsys, command):
+        model_path = tmp_path / "model.lmet"
+        args = [command, "--data", str(data_dir), "--epochs", "2", "--lr", "1e300", "--out", str(model_path)]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: training diverged (non-finite loss) at epoch 0"]
+        assert captured.out == "" and not model_path.exists()
+
     def test_train_seg_zero_epochs_emits_initialized_model(self, tmp_path, data_dir):
         model_path = tmp_path / "seg0.lmet"
         code = main(
@@ -403,6 +412,15 @@ class TestMeasureCommand:
         assert "positive finite" in captured.err and captured.out == ""
         assert not report_path.exists()
 
+    def test_overflowing_scale_exit_2_before_any_output(self, tmp_path, flat_mask_file, capsys):
+        report, overlay = tmp_path / "r.json", tmp_path / "o.png"
+        args = ["measure", "--mask", str(flat_mask_file), "--scale", "1e308", "--json", str(report)]
+        assert main(args + ["--overlay", str(overlay)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --scale")
+        assert captured.out == "" and not report.exists() and not overlay.exists()
+
     def test_three_line_exceeds_orthogonal_on_tilt(self, tmp_path, capsys):
         sample = generate(SynthSpec(width=128, height=112, thickness=10, tilt_deg=25))
         mask_path = tmp_path / "tilted.pgm"
@@ -466,6 +484,13 @@ class TestMeasureCommand:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["measure", "--mask", str(tmp_path / "nothing.pgm")]) == 2
+
+    def test_any_os_error_exit_2(self, tmp_path, flat_mask_file, capsys):
+        # a file name longer than the file system allows (ENAMETOOLONG)
+        report = tmp_path / ("a" * 300 + ".json")
+        assert main(["measure", "--mask", str(flat_mask_file), "--json", str(report), "--quiet"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_p2_header_larger_than_data_exit_2(self, tmp_path, capsys):
         # A million-by-million header over three pixels: rejected before any allocation.

@@ -41,6 +41,12 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(np.zeros((0, 4), dtype=np.uint8))
 
+    @pytest.mark.parametrize("raw", [[[0, 256]], [[-1, 0]], [[[0, 1]]], [0], [[0.5]]])
+    def test_bad_grid_rejected(self, raw):
+        # out of [0, 255], not 2-D, or not integer-valued
+        with pytest.raises(ValueError):
+            normalize(np.array(raw))
+
     def test_dimensions_preserved(self):
         img = normalize(np.zeros((7, 11), dtype=np.uint8))
         assert (img.height, img.width) == (7, 11)

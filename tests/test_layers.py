@@ -261,6 +261,16 @@ class TestNonConvAgainstReference:
         layer.forward(rng.normal(size=(2, 2, 4, 4)), train=True)
         assert layer.backward(np.ones_like(y)).shape == (2, 2, 4, 4)
 
+    @pytest.mark.parametrize("kind", CACHING)
+    def test_forward_caches_in_one_slot(self, kind, rng):
+        # a train-mode forward adds `_cache` and rebinds nothing of the
+        # constructor's but batchnorm's running statistics
+        layer = _caching_layer(kind, rng)
+        built = dict(vars(layer))
+        layer.forward(rng.normal(size=(2, 2, 4, 4)), train=True)
+        changed = {name for name, value in vars(layer).items() if name not in built or built[name] is not value}
+        assert changed - {"running_mean", "running_var"} == {"_cache"}
+
 
 class TestBatchNorm:
     def test_train_mode_normalizes(self, rng):
