@@ -20,7 +20,10 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
 - overlays: the decoded pixel hashes alone, so a change to the PNG encoder
   that keeps the pixels moves the measure line but not this one;
 - pipeline: the artifacts of acceptance criterion 8's CLI pipeline, except
-  `eval.json`, which gets its own line.
+  `eval.json`, which gets its own line;
+- weights: `save_model(load_model(save_model(net)))` for the four nets the
+  nets line trains and an untrained net of each architecture, so a change to
+  the loader shows even where no pipeline reloads that net.
 
 Run from the repository root:
 
@@ -41,7 +44,11 @@ from layermet.measure import MeasureError, orthogonal_report, report_to_dict, th
 from layermet.nnet import (
     BatchNorm2d,
     TrainConfig,
+    build_rcnn,
+    build_segmenter,
+    load_model,
     predict_thickness,
+    save_model,
     segment_image,
     train_rcnn,
     train_segmenter,
@@ -56,8 +63,9 @@ from test_acceptance import _run_pipeline  # noqa: E402
 ODD_SIZES = [(37, 29), (50, 41), (61, 33), (45, 47), (71, 27), (33, 35)]
 
 
-def net_arrays(seed: int) -> list:
-    """Everything both nets compute when trained at `seed`, as a list of arrays."""
+def net_arrays(seed: int) -> tuple[list, dict]:
+    """Everything both nets compute when trained at `seed`, as a list of
+    arrays, and the two trained nets by name."""
     seg_ranges = SynthRanges(
         width=48, height=32, thickness=(6.0, 10.0), tilt_deg=(-5.0, 5.0), curvature=(0.0, 1.0)
     )
@@ -82,7 +90,7 @@ def net_arrays(seed: int) -> list:
     arrays += list(rcnn.params())
     arrays.append(np.asarray(rcnn_losses))
     arrays += [np.float64(predict_thickness(rcnn, s.truth_mask)) for s in odd]
-    return arrays
+    return arrays, {f"segmenter_seed{seed}": seg, f"regressor_seed{seed}": rcnn}
 
 
 # Specs outside the CLI's ranges: (width, height, thickness, tilt, curvature, noise, blur radius).
@@ -258,8 +266,11 @@ def folder_files(root: Path) -> dict:
 
 
 def main_script():
-    arrays = net_arrays(0) + net_arrays(3)
+    (arrays0, nets), (arrays3, nets3) = net_arrays(0), net_arrays(3)
+    arrays = arrays0 + arrays3
     print(f"nets      {hash_arrays(arrays)}  ({len(arrays)} arrays)")
+    nets |= nets3 | {"segmenter_untrained": build_segmenter(0), "regressor_untrained": build_rcnn(0)}
+    reloaded = {name: save_model(load_model(save_model(net))) for name, net in nets.items()}
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -282,6 +293,7 @@ def main_script():
         report = artifacts.pop("eval.json")
         print(f"pipeline  {hash_files(artifacts)}  ({len(artifacts)} artifacts)")
         print(f"eval.json {hashlib.sha256(report).hexdigest()}")
+    print(f"weights   {hash_files(reloaded)}  ({len(reloaded)} weight files)")
 
 
 if __name__ == "__main__":

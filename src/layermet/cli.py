@@ -43,6 +43,7 @@ from .nnet import (
     train_rcnn,
     train_segmenter,
 )
+from .nnet.io import ARCH_OFFSET
 from .nnet.models import SEG_ARCH
 from .postprocess import EmptyPredictionError, postprocess
 
@@ -241,7 +242,7 @@ def cmd_train_rcnn(args) -> int:
 def cmd_segment(args) -> int:
     model = load_model(Path(args.model).read_bytes())
     if model.arch != SEG_ARCH:
-        raise ArchitectureMismatchError("model file is not a segmenter", 8)
+        raise ArchitectureMismatchError("model file is not a segmenter", ARCH_OFFSET)
     image = _parse_image(Path(args.image).read_bytes())
     mask = segment_image(model, image)
     if not args.no_postprocess:
@@ -381,7 +382,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits with 0 after --help and 2 on a usage error
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # an overflow is reported once, by the error it leads to, not also as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except _PIPELINE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

@@ -15,10 +15,11 @@ import struct
 import numpy as np
 
 from .layers import KIND_CODES, BatchNorm2d, Layer
-from .models import Model, _blank_model
+from .models import _BUILDERS, Model
 
 MAGIC = b"LMET"
 VERSION = 2
+ARCH_OFFSET = 8  # byte position of the architecture tag
 
 
 class ModelFormatError(ValueError):
@@ -89,7 +90,7 @@ class _Reader:
 
 
 def load_model(data: bytes) -> Model:
-    """Reconstruct a model; validates magic, version, architecture, and shapes."""
+    """Reconstruct a model; validates magic, version, architecture, shapes and finite values."""
     reader = _Reader(data)
     magic = bytes(reader.take("<4s")[0])
     if magic != MAGIC:
@@ -98,9 +99,9 @@ def load_model(data: bytes) -> Model:
     if version != VERSION:
         raise ModelFormatError(f"unsupported format version {version}", 4)
     (arch,) = reader.take("<B")
-    model = _blank_model(arch)
-    if model is None:
-        raise ArchitectureMismatchError(f"unknown architecture tag {arch}", 8)
+    if arch not in _BUILDERS:
+        raise ArchitectureMismatchError(f"unknown architecture tag {arch}", ARCH_OFFSET)
+    model = _BUILDERS[arch](None)
 
     for layer in model.layers:
         record_at = reader.pos
@@ -123,6 +124,13 @@ def load_model(data: bytes) -> Model:
                 raise ModelFormatError(
                     f"{layer.kind} array shape {shape} does not match declared {target.shape}",
                     arr_at,
+                )
+            finite = np.isfinite(flat)
+            if not finite.all():
+                first = int(finite.argmin())
+                raise ModelFormatError(
+                    f"{layer.kind} array holds non-finite value {flat[first]}",
+                    reader.pos - flat.nbytes + 8 * first,
                 )
             target[...] = flat.reshape(shape)
     if reader.pos != len(data):

@@ -55,7 +55,10 @@ BN_EPS = 1e-5  # added to the variance before its square root
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
 
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def he_uniform(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarray:
+    """He-uniform draws from `rng`; zeros without one, for a model a loader fills."""
+    if rng is None:
+        return np.zeros(shape)
     limit = math.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
@@ -138,7 +141,7 @@ class Conv2d(Layer):
 
     kind = "conv2d"
 
-    def __init__(self, in_ch: int, out_ch: int, ksize: int, rng: np.random.Generator):
+    def __init__(self, in_ch: int, out_ch: int, ksize: int, rng: np.random.Generator | None):
         if ksize % 2 != 1:
             raise ValueError(f"kernel size must be odd, got {ksize}")
         self.in_ch, self.out_ch, self.ksize = in_ch, out_ch, ksize
@@ -336,7 +339,7 @@ class Dense(Layer):
 
     kind = "dense"
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None):
         self.n_in, self.n_out = n_in, n_out
         self.weight = he_uniform(rng, (n_in, n_out), n_in)
         self.bias = np.zeros(n_out)

@@ -20,9 +20,9 @@ SEG_ARCH = 1
 RCNN_ARCH = 2
 
 SEG_CLASSES = 2
-SEG_DOWNSAMPLE = 16
 ENCODER_CHANNELS = (1, 8, 16, 32, 64)
 DECODER_CHANNELS = (64, 32, 16, 8, 8)
+SEG_DOWNSAMPLE = 2 ** (len(ENCODER_CHANNELS) - 1)  # one MaxPool2 per encoder block
 
 RCNN_INPUT = (64, 256)  # (height, width) of the resampled mask
 RCNN_BLOCKS = ((1, 8, 8, 8), (8, 16, 16, 16))
@@ -113,15 +113,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.mean(diff**2)), 2.0 * diff / diff.size
 
 
-class _ZeroDraws:
-    """Stands in for the weight generator of a model whose parameters are
-    overwritten next: each `he_uniform` draw becomes zeros."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.zeros(size)
-
-
 def build_segmenter(seed: int = 0) -> Model:
     return _segmenter(np.random.default_rng(np.random.SeedSequence([seed, SEG_ARCH])))
 
@@ -130,17 +121,7 @@ def build_rcnn(seed: int = 0) -> Model:
     return _rcnn(np.random.default_rng(np.random.SeedSequence([seed, RCNN_ARCH])), seed)
 
 
-def _blank_model(arch: int) -> Model | None:
-    """The `arch` net with zero weights and the dropout streams of seed 0, for
-    a loader to fill; None for an unknown tag."""
-    if arch == SEG_ARCH:
-        return _segmenter(_ZeroDraws())
-    if arch == RCNN_ARCH:
-        return _rcnn(_ZeroDraws(), 0)
-    return None
-
-
-def _segmenter(rng) -> Model:
+def _segmenter(rng: np.random.Generator | None) -> Model:
     layers: list[Layer] = []
     for cin, cout in zip(ENCODER_CHANNELS, ENCODER_CHANNELS[1:]):
         layers += [Conv2d(cin, cout, 3, rng), ReLU(), BatchNorm2d(cout), MaxPool2()]
@@ -150,7 +131,7 @@ def _segmenter(rng) -> Model:
     return Model(SEG_ARCH, layers)
 
 
-def _rcnn(rng, dropout_seed: int) -> Model:
+def _rcnn(rng: np.random.Generator | None, dropout_seed: int = 0) -> Model:
     layers: list[Layer] = []
     for i, block in enumerate(RCNN_BLOCKS):
         for cin, cout in zip(block, block[1:]):
@@ -160,12 +141,17 @@ def _rcnn(rng, dropout_seed: int) -> Model:
         # inference and bias the regression output low.
         drop_rng = np.random.default_rng(np.random.SeedSequence([dropout_seed, 7, i]))
         layers += [MaxPool2(), Dropout(RCNN_DROPOUT, drop_rng)]
-    h, w = RCNN_INPUT[0] // 4, RCNN_INPUT[1] // 4
+    h, w = (side // 2 ** len(RCNN_BLOCKS) for side in RCNN_INPUT)  # one MaxPool2 per block
     widths = (RCNN_BLOCKS[-1][-1] * h * w,) + RCNN_DENSE
     for nin, nout in zip(widths, widths[1:]):
         layers += [Dense(nin, nout, rng), ReLU()]
     layers += [Dense(RCNN_DENSE[-1], 1, rng)]
     return Model(RCNN_ARCH, layers)
+
+
+# Each net's builder by architecture tag. A loader calls it with no generator:
+# zero weights to overwrite, and a regressor with the dropout streams of seed 0.
+_BUILDERS = {SEG_ARCH: _segmenter, RCNN_ARCH: _rcnn}
 
 
 def _sgd_step(params, grads, velocity, lr: float) -> None:
@@ -185,9 +171,6 @@ def _check_uniform_dims(shapes: list[tuple[int, int]], divisor: int = 1) -> tupl
     return first
 
 
-# A step that overflows is reported once, as the DivergenceError its
-# non-finite loss raises, not also as numpy warnings from the layers.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_epochs(model: Model, x, y, cfg: TrainConfig, loss_fn) -> list[float]:
     """Shared SGD loop; `loss_fn(output, target)` returns (loss, output gradient)."""
     cfg.validate()
@@ -238,7 +221,7 @@ def predict_mask(model: Model, image: GrayImage) -> BinaryMask:
 
 
 def segment_image(model: Model, image: GrayImage) -> BinaryMask:
-    """Reflect-pad to a multiple of 16, predict, and crop back."""
+    """Reflect-pad to a multiple of SEG_DOWNSAMPLE, predict, and crop back."""
     h, w = image.height, image.width
     ph = (-h) % SEG_DOWNSAMPLE
     pw = (-w) % SEG_DOWNSAMPLE
@@ -279,11 +262,11 @@ def _recalibrate_output(model: Model, x: np.ndarray, y: np.ndarray, batch_size: 
 
     Inference-mode predictions on the training set are regressed onto the
     targets (gain and offset), and the fit is absorbed into the head's weights
-    and bias. The fit stays because dropout leaves train-mode and
-    inference-mode activations in different regimes, and the linear output
-    inherits that as a scale/offset error: without the fit, the held-out
-    thickness MAE of the benchmark's `train` workload (seed 1) rises from
-    0.85 to 5.4 px.
+    and bias. It is what makes a short run usable at all, not only a fix for
+    dropout's train/inference gap: the benchmark's `train` workload (2
+    epochs, seed 1) scores a held-out thickness MAE of 0.85 px with the fit
+    and 5.4 px without it; with the regressor's Dropout layers removed too,
+    0.647 px with the fit and 8.61 px without it.
     """
     preds = np.concatenate(
         [model.forward(x[i : i + batch_size], train=False) for i in range(0, x.shape[0], batch_size)]

@@ -133,6 +133,12 @@ class TestSynthCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
         assert _dir_digest(out) == before
 
+    def test_inverted_range_exit_2_before_out_exists(self, tmp_path, capsys):
+        out = tmp_path / "inv"
+        assert main(["synth", "--n", "1", "--out", str(out), "--thickness", "12:8"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: thickness range [12.0, 8.0] is inverted"]
+        assert not out.exists()
+
     def test_bad_range_syntax_is_usage_error(self, tmp_path):
         assert main(["synth", "--n", "1", "--out", str(tmp_path), "--tilt", "oops"]) == 1
 
@@ -221,6 +227,16 @@ class TestTrainCommands:
             ["train-seg", "--data", str(tmp_path / "nope"), "--epochs", "1", "--out", str(tmp_path / "m")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command, pattern", [("train-seg", "img_*.pgm"), ("train-rcnn", "mask_*.pgm")])
+    def test_folder_without_matching_files_exit_2(self, tmp_path, capsys, command, pattern):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("no samples here\n")
+        model_path = tmp_path / "m.lmet"
+        assert main([command, "--data", str(empty), "--epochs", "1", "--out", str(model_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: no {pattern} files in {empty}"]
+        assert not model_path.exists()
 
     def test_train_seg_corrupt_file_listed(self, tmp_path, data_dir, capsys):
         (data_dir / "img_0003.pgm").write_bytes(b"P5\n4 4\n255\nxx")
@@ -324,6 +340,46 @@ class TestSegmentCommand:
         _write_band_image(img)
         code = main(["segment", "--model", str(model_path), "--image", str(img), "--out", str(tmp_path / "m.pgm")])
         assert code == 3
+
+    def test_empty_raw_prediction_exit_3(self, tmp_path, capsys):
+        model = craft_threshold_segmenter()
+        model.layers[-1].bias[:] = (100.0, -100.0)  # background wins everywhere
+        model_path = tmp_path / "bg.lmet"
+        model_path.write_bytes(save_model(model))
+        img = tmp_path / "img.pgm"
+        _write_band_image(img)
+        out = tmp_path / "m.pgm"
+        args = ["segment", "--model", str(model_path), "--image", str(img), "--out", str(out), "--no-postprocess"]
+        assert main(args) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: prediction has no foreground region"]
+        assert not out.exists()
+
+    def test_overflowing_weights_print_one_error_line(self, tmp_path, capsys):
+        # The first conv weight's payload starts at byte 28; two huge weights
+        # overflow its matrix product, and the prediction ends up empty.
+        blob = bytearray(save_model(craft_threshold_segmenter()))
+        blob[28:44] = struct.pack("<2d", 1e308, 1e308)
+        model_path = tmp_path / "huge.lmet"
+        model_path.write_bytes(bytes(blob))
+        img = tmp_path / "img.pgm"
+        _write_band_image(img)
+        code = main(["segment", "--model", str(model_path), "--image", str(img), "--out", str(tmp_path / "m.pgm")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == ["error: prediction has no foreground region"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_exit_2(self, tmp_path, capsys, value):
+        blob = bytearray(save_model(craft_threshold_segmenter()))
+        blob[36:44] = struct.pack("<d", value)  # the first conv's second weight
+        model_path = tmp_path / "bad.lmet"
+        model_path.write_bytes(bytes(blob))
+        img = tmp_path / "img.pgm"
+        _write_band_image(img)
+        code = main(["segment", "--model", str(model_path), "--image", str(img), "--out", str(tmp_path / "m.pgm")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: conv2d array holds non-finite value {value} (byte 36)"
+        ]
 
     def test_rcnn_model_rejected(self, tmp_path):
         model_path = tmp_path / "wrong.lmet"

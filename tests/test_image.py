@@ -10,6 +10,7 @@ from layermet.image import (
     GrayImage,
     MaskValueError,
     PgmError,
+    RgbImage,
     mask_to_pgm,
     normalize,
     pgm_to_mask,
@@ -73,6 +74,20 @@ class TestGrayImageInvariants:
             img.pixels[0, 0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "make, arr, message",
+    [
+        (BinaryMask, np.zeros((2, 2), dtype=np.uint8), "must be boolean"),
+        (BinaryMask, np.zeros(4, dtype=bool), "2-D grid"),
+        (RgbImage, np.zeros((2, 2), dtype=np.uint8), r"shape \(h, w, 3\)"),
+        (RgbImage, np.zeros((2, 2, 3)), "must be uint8"),
+    ],
+)
+def test_mask_and_rgb_reject_bad_arrays(make, arr, message):
+    with pytest.raises(ValueError, match=message):
+        make(arr)
+
+
 class TestPgm:
     def test_hand_constructed_13_byte_file(self):
         data = b"P5\n2 1\n255\n\x00\xff"
@@ -122,6 +137,18 @@ class TestPgm:
     def test_truncated_header(self):
         with pytest.raises(PgmError):
             read_pgm(b"P5\n2")
+
+    @pytest.mark.parametrize("data", [b"P5\n0 1\n255\n", b"P2\n0 1\n255\n"])
+    def test_zero_width_rejected(self, data):
+        with pytest.raises(PgmError, match="dimensions must be positive, got 0x1") as err:
+            read_pgm(data)
+        assert err.value.offset == 3
+
+    def test_p5_payload_needs_a_whitespace_byte(self):
+        data = b"P5\n1 1\n255"
+        with pytest.raises(PgmError, match="whitespace byte") as err:
+            read_pgm(data)
+        assert err.value.offset == len(data)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_round_trip_property(self, w, h, seed):

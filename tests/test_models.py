@@ -163,6 +163,18 @@ class TestTrainSegmenter:
         with pytest.raises(ValueError, match="at least"):
             train_segmenter([(img, mask)] * 3, TrainConfig(batch_size=4, epochs=1))
 
+    def test_indivisible_dims_rejected(self, rng):
+        img = GrayImage(rng.random((24, 32)))
+        mask = BinaryMask(np.zeros((24, 32), dtype=bool))
+        with pytest.raises(ValueError, match=r"dimensions \(24, 32\) must be divisible by 16"):
+            train_segmenter([(img, mask)] * 8, TrainConfig(epochs=1))
+
+    def test_image_and_mask_sizes_differ(self, rng):
+        img = GrayImage(rng.random((32, 32)))
+        mask = BinaryMask(np.zeros((32, 48), dtype=bool))
+        with pytest.raises(ValueError, match="image and mask dimensions differ"):
+            train_segmenter([(img, mask)] * 8, TrainConfig(epochs=1))
+
 
 class TestRcnn:
     def test_resample_nearest_shape_and_values(self):
@@ -198,6 +210,11 @@ class TestRcnn:
         first, _ = train_rcnn(data[:4], cfg)
         second, _ = train_rcnn(data[:4], cfg)
         assert save_model(first) == save_model(second)
+
+    def test_too_few_masks_rejected(self, constant_rcnn_run):
+        data, _, _, _ = constant_rcnn_run
+        with pytest.raises(ValueError, match="need at least 8 samples, got 7"):
+            train_rcnn(data[:7], TrainConfig(batch_size=4, epochs=1))
 
     def test_empty_mask_rejected(self, constant_rcnn_run):
         _, _, model, _ = constant_rcnn_run
@@ -330,8 +347,21 @@ class TestSerialization:
     def test_wrong_architecture_tag(self):
         blob = bytearray(save_model(build_segmenter(seed=0)))
         blob[8] = 7
-        with pytest.raises(ArchitectureMismatchError):
+        with pytest.raises(ArchitectureMismatchError, match="unknown architecture tag 7") as err:
             load_model(bytes(blob))
+        assert err.value.offset == 8
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("build", [build_segmenter, build_rcnn])
+    def test_non_finite_value_rejected_at_its_byte(self, build, value):
+        # A value past the first record, so the offset is not the first payload's.
+        model = build(seed=0)
+        blob = save_model(model)
+        at = len(blob) - 8 * model.layers[-1].bias.size  # the head's first bias value
+        bad = blob[:at] + struct.pack("<d", value) + blob[at + 8 :]
+        with pytest.raises(ModelFormatError, match="non-finite") as err:
+            load_model(bad)
+        assert err.value.offset == at
 
     def test_retired_flatten_record_rejected(self):
         # Regressor files from before `Dense` flattened its input carry a
