@@ -14,16 +14,18 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
   `report_to_dict` JSON of both estimators after `postprocess` (or the
   error they raise), the mask `pgm_to_mask` reads back from a P2 encoding,
   and two overlay PNGs with a hash of the RGB pixels decoded from each;
-  what `pgm_to_mask` makes of MALFORMED_P2 (the grid, or the error with its
-  offset or pixel index); and the labels and areas of three noisy 257x301
-  masks, a 256x256 spiral and a checkerboard;
+  and the labels and areas of three noisy 257x301 masks, a 256x256 spiral
+  and a checkerboard;
 - overlays: the decoded pixel hashes alone, so a change to the PNG encoder
   that keeps the pixels moves the measure line but not this one;
 - pipeline: the artifacts of acceptance criterion 8's CLI pipeline, except
   `eval.json`, which gets its own line;
 - weights: `save_model(load_model(save_model(net)))` for the four nets the
   nets line trains and an untrained net of each architecture, so a change to
-  the loader shows even where no pipeline reloads that net.
+  the loader shows even where no pipeline reloads that net;
+- malformed: what `pgm_to_mask` makes of each MALFORMED_P2 input (the grid,
+  or the error with its offset or pixel index), so a change to what the PGM
+  reader accepts moves this line and leaves the measure line as it was.
 
 Run from the repository root:
 
@@ -201,8 +203,8 @@ def read_mask(data: bytes) -> bytes:
 
 def measure_files() -> dict:
     """Labels, areas, report JSON and P2 read-back per corpus mask, two
-    overlay PNGs and their pixel hashes, the reading of each MALFORMED_P2
-    input, and the labels and areas of each labeling_corpus mask."""
+    overlay PNGs and their pixel hashes, and the labels and areas of each
+    labeling_corpus mask."""
     files = {}
     overlays = {"c2_30_12": orthogonal_report, "speckle_07": three_line_report}
     for i, (name, image, mask) in enumerate(measure_corpus()):
@@ -221,8 +223,6 @@ def measure_files() -> dict:
                 png = write_png(render_overlay(image, cleaned, report, caption))
                 files[f"{name}/overlay.png"] = png
                 files[f"{name}/overlay.png.rgb"] = hash_arrays([decode_png(png)]).encode()
-    for i, data in enumerate(MALFORMED_P2):
-        files[f"malformed_p2/{i:02d}"] = read_mask(data)
     for name, cells in labeling_corpus():
         files[f"{name}/labels"] = label_hash(BinaryMask(cells))
     return files
@@ -294,6 +294,8 @@ def main_script():
         print(f"pipeline  {hash_files(artifacts)}  ({len(artifacts)} artifacts)")
         print(f"eval.json {hashlib.sha256(report).hexdigest()}")
     print(f"weights   {hash_files(reloaded)}  ({len(reloaded)} weight files)")
+    malformed = {f"malformed_p2/{i:02d}": read_mask(data) for i, data in enumerate(MALFORMED_P2)}
+    print(f"malformed {hash_files(malformed)}  ({len(malformed)} inputs)")
 
 
 if __name__ == "__main__":

@@ -168,13 +168,19 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(batch_size=args.batch, epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
 
 
+def _check_out_folder(args) -> None:
+    """Fail before any data is read or trained if `--out`'s folder is missing."""
+    folder = Path(args.out).parent
+    if not folder.is_dir():
+        raise NotADirectoryError(f"--out folder not found: {folder}")
+
+
 def _save_trained(args, model, losses: list[float], summary: str) -> int:
-    """Write the weight file and the `epoch,loss` CSV, then print the summary line."""
+    """Write the weight file and its `<out>.loss.csv` of `epoch,loss`, then print the summary line."""
     out = Path(args.out)
     out.write_bytes(save_model(model))
-    curve = Path(args.curve) if args.curve else out.with_suffix(out.suffix + ".loss.csv")
     lines = ["epoch,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(losses)]
-    curve.write_text("\n".join(lines) + "\n")
+    out.with_suffix(out.suffix + ".loss.csv").write_text("\n".join(lines) + "\n")
     if not args.quiet:
         final = f"{losses[-1]:.6f}" if losses else "n/a"
         print(f"trained {summary}, {args.epochs} epochs, final loss {final}")
@@ -218,6 +224,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_seg(args) -> int:
+    _check_out_folder(args)
     jobs = []
     for path in _scan(Path(args.data), "img_*.pgm"):
         jobs += [(path, _parse_image), (path.with_name(path.name.replace("img_", "mask_", 1)), pgm_to_mask)]
@@ -234,6 +241,7 @@ def _parse_target(data: bytes) -> tuple[BinaryMask, float]:
 
 
 def cmd_train_rcnn(args) -> int:
+    _check_out_folder(args)
     data = _read_all((path, _parse_target) for path in _scan(Path(args.data), "mask_*.pgm"))
     model, losses = train_rcnn(data, _train_config(args))
     return _save_trained(args, model, losses, f"regressor on {len(data)} masks")
@@ -258,6 +266,9 @@ def cmd_segment(args) -> int:
 def cmd_measure(args) -> int:
     if args.image is not None and args.overlay is None:
         print("error: --image is only read for an --overlay; add --overlay or drop --image", file=sys.stderr)
+        return EXIT_USAGE
+    if args.overlay is not None and Path(args.overlay).suffix.lower() not in (".png", ".ppm"):
+        print(f"error: --overlay {args.overlay} must end in .png or .ppm", file=sys.stderr)
         return EXIT_USAGE
     mask_path = Path(args.mask)
     mask = pgm_to_mask(mask_path.read_bytes())
@@ -339,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=_nonneg_int, required=True)
         p.add_argument("--batch", type=_positive_int, default=4)
         p.add_argument("--lr", type=_positive_float, default=lr)
-        p.add_argument("--out", required=True, help="weight file path")
-        p.add_argument("--curve", default=None, help="loss CSV path (default <out>.loss.csv)")
+        p.add_argument("--out", required=True, help="weight file path; the loss CSV goes to <out>.loss.csv")
         p.add_argument("--seed", type=_nonneg_int, default=0)
         p.add_argument("--quiet", action="store_true")
         p.set_defaults(func=func)

@@ -5,7 +5,6 @@ are bool, overlays are uint8 RGB. Every operation here is a pure function;
 values are immutable after construction and safe to share across threads.
 """
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ _IS_WHITESPACE = np.zeros(256, dtype=bool)
 _IS_WHITESPACE[list(_WHITESPACE)] = True
 _IS_DIGIT = np.zeros(256, dtype=bool)
 _IS_DIGIT[ord("0") : ord("9") + 1] = True
+_MAX_HEADER_DIGITS = 18  # significant digits; more than any file could need
 
 # Overlay constants: tint alpha on the layer, caption band height in rows.
 TINT_ALPHA = 0.4
@@ -165,11 +165,10 @@ def read_pgm(data: bytes) -> np.ndarray:
     dims = []
     for name in ("width", "height", "maxval"):
         tok, tok_at, pos = _next_token(data, pos)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise PgmError(f"bad {name} token {tok!r}", tok_at) from None
-        dims.append((value, tok_at))
+        digits = tok.lstrip(b"0")
+        if not tok.isdigit() or len(digits) > _MAX_HEADER_DIGITS:
+            raise PgmError(f"bad {name} token {tok!r}", tok_at)
+        dims.append((int(digits or b"0"), tok_at))
     (width, w_at), (height, _), (maxval, m_at) = dims
     if width < 1 or height < 1:
         raise PgmError(f"dimensions must be positive, got {width}x{height}", w_at)
@@ -198,24 +197,13 @@ def read_pgm(data: bytes) -> np.ndarray:
     return _read_p2_pixels(data, pos, count).reshape(height, width)
 
 
-def _pixel_value(tok: bytes, at: int) -> int:
-    """One P2 pixel token as `int` reads it; PgmError unless it is 0..255."""
-    try:
-        v = int(tok)
-    except ValueError:
-        raise PgmError(f"bad pixel token {tok!r}", at) from None
-    if not 0 <= v <= 255:
-        raise PgmError(f"pixel value {v} out of range", at)
-    return v
-
-
 def _read_p2_pixels(data: bytes, pos: int, count: int) -> np.ndarray:
     """The first `count` pixel tokens after `pos`, in whole-array passes.
 
-    Reads what `_next_token` and `int` would read one token at a time, and
-    fails on the same token with the same message and offset: tokens split at
-    whitespace, a '#' where a token could start opens a comment up to its
-    newline, and the first bad token is reported before a short payload.
+    Tokens split at whitespace, a '#' where a token could start opens a
+    comment up to its newline, and a pixel is ASCII digits (leading zeros
+    allowed) worth at most 255. The first token that is not, a bad token or
+    one out of range, raises before a short payload does.
     The scan starts with room for `count` 3-digit tokens and doubles until it
     holds one token more (or all the data), so bytes after the last pixel
     token cost next to nothing.
@@ -239,8 +227,9 @@ def _read_p2_pixels(data: bytes, pos: int, count: int) -> np.ndarray:
     starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
     lengths = ends - starts
 
-    # Pure-digit tokens: the value of the last three digits, and out of range
-    # if a nonzero digit comes before them.
+    # The value of each token's last three digits. A token is bad if it is
+    # above 255, if a nonzero digit comes before those three, or if it holds
+    # a byte that is neither blank nor a digit.
     values = np.zeros(starts.size, dtype=np.int64)
     for k, scale in ((1, 1), (2, 10), (3, 100)):
         digit = np.where(lengths >= k, raw[ends - k], ord("0"))
@@ -250,21 +239,17 @@ def _read_p2_pixels(data: bytes, pos: int, count: int) -> np.ndarray:
     if long.size:
         prefixes = np.column_stack([starts[long], ends[long] - 3]).ravel()
         bad[long] |= np.maximum.reduceat(raw, prefixes)[::2] > ord("0")
-
-    # The rest go through int(): tokens with a byte that is not a digit, and
-    # ones long enough to meet int()'s digit limit. Together with the first
-    # pure-digit token out of range, which raises, they are read in order.
     odd = np.flatnonzero(~(blank | _IS_DIGIT[raw]))
     if starts.size:
         odd = odd[odd < ends[-1]]
-    irregular = np.union1d(
-        np.searchsorted(starts, odd, side="right") - 1,
-        np.flatnonzero(lengths > sys.int_info.str_digits_check_threshold),
-    )
-    bad[irregular] = False
-    for t in np.union1d(irregular, np.flatnonzero(bad)[:1]).tolist():
+    bad[np.searchsorted(starts, odd, side="right") - 1] = True
+    if bad.any():
+        t = bad.argmax()
         at = pos + int(starts[t])
-        values[t] = _pixel_value(data[at : pos + ends[t]], at)
+        tok = data[at : pos + ends[t]]
+        if not tok.isdigit():
+            raise PgmError(f"bad pixel token {tok!r}", at)
+        raise PgmError(f"pixel value {tok.lstrip(b'0').decode()} out of range", at)
     if starts.size < count:
         raise PgmError("unexpected end of data in header", len(data))
     return values.astype(np.uint8)

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
+import re
 import struct
 import zlib
 
@@ -151,19 +152,19 @@ def reference_label_components(mask: BinaryMask) -> LabeledRegions:
 
 
 def reference_read_pgm(data: bytes) -> np.ndarray:
-    """`image.read_pgm` as it was before its P2 payload became whole-array
-    passes: one `_next_token` and one `int` per pixel."""
+    """`image.read_pgm` one token at a time: one `_next_token` per pixel, and
+    every number matched as ASCII digits, leading zeros allowed (at most 18
+    significant digits in the header), with no sign or underscore."""
     magic, magic_at, pos = _next_token(data, 0)
     if magic not in (b"P5", b"P2"):
         raise PgmError(f"unsupported magic {magic!r}, expected P5 or P2", magic_at)
     dims = []
     for name in ("width", "height", "maxval"):
         tok, tok_at, pos = _next_token(data, pos)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise PgmError(f"bad {name} token {tok!r}", tok_at) from None
-        dims.append((value, tok_at))
+        m = re.fullmatch(rb"0*([0-9]{1,18})", tok)
+        if m is None:
+            raise PgmError(f"bad {name} token {tok!r}", tok_at)
+        dims.append((int(m[1]), tok_at))
     (width, w_at), (height, _), (maxval, m_at) = dims
     if width < 1 or height < 1:
         raise PgmError(f"dimensions must be positive, got {width}x{height}", w_at)
@@ -191,13 +192,12 @@ def reference_read_pgm(data: bytes) -> np.ndarray:
     values = np.empty(count, dtype=np.uint8)
     for i in range(count):
         tok, tok_at, pos = _next_token(data, pos)
-        try:
-            v = int(tok)
-        except ValueError:
-            raise PgmError(f"bad pixel token {tok!r}", tok_at) from None
-        if not 0 <= v <= 255:
-            raise PgmError(f"pixel value {v} out of range", tok_at)
-        values[i] = v
+        m = re.fullmatch(rb"0*([0-9]+)", tok)
+        if m is None:
+            raise PgmError(f"bad pixel token {tok!r}", tok_at)
+        if len(m[1]) > 3 or int(m[1]) > 255:
+            raise PgmError(f"pixel value {m[1].decode()} out of range", tok_at)
+        values[i] = int(m[1])
     return values.reshape(height, width)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layermet import cli
 from layermet.cli import MAX_SYNTH_SIDE, main, write_png, write_ppm
 from layermet.image import BinaryMask, GrayImage, RgbImage, mask_to_pgm, pgm_to_mask, render_overlay, write_pgm
 from layermet.nnet import build_rcnn, build_segmenter, load_model, save_model
@@ -221,6 +222,18 @@ class TestTrainCommands:
                 == 0
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("command, trainer", [("train-seg", "train_segmenter"), ("train-rcnn", "train_rcnn")])
+    def test_missing_out_folder_exit_2_before_training(self, tmp_path, data_dir, capsys, monkeypatch, command, trainer):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{trainer} ran although --out cannot be written")
+
+        monkeypatch.setattr(cli, trainer, refuse)
+        folder = tmp_path / "nodir"
+        assert main([command, "--data", str(data_dir), "--epochs", "1", "--out", str(folder / "m.lmet")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: --out folder not found: {folder}"]
+        assert captured.out == "" and not folder.exists()
 
     def test_train_seg_missing_dir_exit_2(self, tmp_path):
         code = main(
@@ -510,6 +523,17 @@ class TestMeasureCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "--image" in lines[0] and "--overlay" in lines[0]
         assert captured.out == "" and not report.exists()
+
+    @pytest.mark.parametrize("name", ["o.jpg", "o", "o.png.txt"])
+    def test_overlay_suffix_other_than_png_or_ppm_is_usage_error(self, tmp_path, capsys, name):
+        # The mask does not exist: reading it would exit 2.
+        report, overlay = tmp_path / "r.json", tmp_path / name
+        args = ["measure", "--mask", str(tmp_path / "m.pgm"), "--json", str(report), "--overlay", str(overlay)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --overlay")
+        assert captured.out == "" and not report.exists() and not overlay.exists()
 
     def test_empty_mask_exit_3(self, tmp_path):
         path = tmp_path / "empty.pgm"

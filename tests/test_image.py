@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,14 +152,56 @@ class TestPgm:
             read_pgm(data)
         assert err.value.offset == len(data)
 
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"P2\n2 1\n255\n0 +0\n", "bad pixel token b'+0'", 13),
+            (b"P2\n2 1\n255\n-0 0\n", "bad pixel token b'-0'", 11),
+            (b"P2\n2 1\n255\n0 2_5_5\n", "bad pixel token b'2_5_5'", 13),
+            (b"P2\n+4 1\n255\n0 0 0 0\n", "bad width token b'+4'", 3),
+            (b"P5\n1 4_0\n255\n", "bad height token b'4_0'", 5),
+            (b"P5\n1 1\n+255\n\x00", "bad maxval token b'+255'", 7),
+        ],
+        ids=["plus-pixel", "minus-pixel", "underscore-pixel", "plus-width", "underscore-height", "plus-maxval"],
+    )
+    def test_sign_or_underscore_is_a_bad_token(self, data, message, offset):
+        with pytest.raises(PgmError) as err:
+            read_pgm(data)
+        assert str(err.value) == f"{message} (byte {offset})"
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "data, outcome",
+        [
+            (b"P2\n1 1\n255\n" + b"0" * 4400 + b"7\n", ((1, 1), b"\x07")),
+            (b"P2\n" + b"0" * 4400 + b"1 1\n255\n7\n", ((1, 1), b"\x07")),
+            (
+                b"P2\n1 1\n255\n1" + b"0" * 4400 + b"\n",
+                (PgmError, "pixel value 1" + "0" * 4400 + " out of range (byte 11)", 11),
+            ),
+        ],
+        ids=["zero-padded-pixel", "zero-padded-width", "long-pixel-out-of-range"],
+    )
+    def test_long_numbers_read_the_same_at_any_int_digit_limit(self, data, outcome):
+        limit = sys.get_int_max_str_digits()
+        try:
+            outcomes = []
+            for digits in (4300, 0):
+                sys.set_int_max_str_digits(digits)
+                outcomes.append(_outcome(read_pgm, data))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert outcomes == [outcome, outcome]
+
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_round_trip_property(self, w, h, seed):
         grid = np.random.default_rng(seed).integers(0, 256, size=(h, w)).astype(np.uint8)
         assert (read_pgm(write_pgm(grid)) == grid).all()
 
 
-# P2 pixel tokens: values in range, ones int() reads in other ways (sign,
-# underscore, leading zeros, 4+ digits, past its digit limit) and ones it rejects.
+# P2 pixel tokens: values in range; digit runs with leading zeros, out of
+# range, or longer than int()'s digit limit; and bad tokens, which hold a sign,
+# an underscore, a '#' or another byte that is not a digit.
 P2_TOKENS = st.one_of(
     st.integers(0, 255).map(lambda v: str(v).encode()),
     st.sampled_from(
