@@ -11,9 +11,10 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
   2048 px wide);
 - measure: on the masks of acceptance criteria 1, 2 and 9 and 30 seeded
   tilted bands with speckle, the `label_components` labels and areas, the
-  `report_to_dict` JSON of both estimators after `postprocess` (or the
-  error they raise), the mask `pgm_to_mask` reads back from a P2 encoding,
-  and two overlay PNGs with a hash of the RGB pixels decoded from each;
+  `report_json` text of both estimators after `postprocess` (or the error
+  they raise), which is the text of `json.dumps(report_to_dict(...),
+  indent=2)`, the mask `pgm_to_mask` reads back from a P2 encoding, and two
+  overlay PNGs with a hash of the RGB pixels decoded from each;
   and the labels and areas of three noisy 257x301 masks, a 256x256 spiral
   and a checkerboard;
 - overlays: the decoded pixel hashes alone, so a change to the PNG encoder
@@ -33,7 +34,6 @@ Run from the repository root:
 """
 
 import hashlib
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -42,7 +42,7 @@ import numpy as np
 
 from layermet.cli import main, write_png
 from layermet.image import BinaryMask, GrayImage, MaskValueError, PgmError, pgm_to_mask, render_overlay
-from layermet.measure import MeasureError, orthogonal_report, report_to_dict, three_line_report
+from layermet.measure import MeasureError, orthogonal_report, report_json, three_line_report
 from layermet.nnet import (
     BatchNorm2d,
     TrainConfig,
@@ -214,7 +214,7 @@ def measure_files() -> dict:
         for estimator in (orthogonal_report, three_line_report):
             try:
                 report = estimator(cleaned)
-                text = json.dumps(report_to_dict(report, file_name=name), indent=2)
+                text = report_json(report, file_name=name)
             except MeasureError as exc:
                 report, text = None, f"{type(exc).__name__}: {exc}"
             files[f"{name}/{estimator.__name__}.json"] = text.encode()

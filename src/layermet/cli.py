@@ -168,11 +168,10 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(batch_size=args.batch, epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
 
 
-def _check_out_folder(args) -> None:
-    """Fail before any data is read or trained if `--out`'s folder is missing."""
-    folder = Path(args.out).parent
-    if not folder.is_dir():
-        raise NotADirectoryError(f"--out folder not found: {folder}")
+def _check_out_folder(flag: str, path: str | None) -> None:
+    """Fail before any input is read if the folder of output `path` is missing."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise NotADirectoryError(f"{flag} folder not found: {Path(path).parent}")
 
 
 def _save_trained(args, model, losses: list[float], summary: str) -> int:
@@ -224,7 +223,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_seg(args) -> int:
-    _check_out_folder(args)
+    _check_out_folder("--out", args.out)
     jobs = []
     for path in _scan(Path(args.data), "img_*.pgm"):
         jobs += [(path, _parse_image), (path.with_name(path.name.replace("img_", "mask_", 1)), pgm_to_mask)]
@@ -241,7 +240,7 @@ def _parse_target(data: bytes) -> tuple[BinaryMask, float]:
 
 
 def cmd_train_rcnn(args) -> int:
-    _check_out_folder(args)
+    _check_out_folder("--out", args.out)
     data = _read_all((path, _parse_target) for path in _scan(Path(args.data), "mask_*.pgm"))
     model, losses = train_rcnn(data, _train_config(args))
     return _save_trained(args, model, losses, f"regressor on {len(data)} masks")
@@ -270,6 +269,8 @@ def cmd_measure(args) -> int:
     if args.overlay is not None and Path(args.overlay).suffix.lower() not in (".png", ".ppm"):
         print(f"error: --overlay {args.overlay} must end in .png or .ppm", file=sys.stderr)
         return EXIT_USAGE
+    for flag, path in (("--json", args.json), ("--overlay", args.overlay)):
+        _check_out_folder(flag, path)
     mask_path = Path(args.mask)
     mask = pgm_to_mask(mask_path.read_bytes())
     estimator = measure.orthogonal_report if args.method == "orthogonal" else measure.three_line_report
@@ -286,8 +287,7 @@ def cmd_measure(args) -> int:
     if not args.quiet:
         print(f"MT={report.mean_scaled:.4f} SD={report.sd_scaled:.4f} n={report.n}")
     if args.json:
-        payload = measure.report_to_dict(report, file_name=mask_path.name)
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.json).write_text(measure.report_json(report, file_name=mask_path.name) + "\n")
     if args.overlay:
         overlay = Path(args.overlay)
         overlay.write_bytes(write_png(rgb) if overlay.suffix.lower() == ".png" else write_ppm(rgb))

@@ -353,6 +353,29 @@ def _row_major_im2col(x: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * h * w, c * k * k)
 
 
+def reference_im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """`layers._im2col` as it was before it copied one strided view of a
+    padded input: k*k slice copies, each writing its own zero border."""
+    n, c, h, w = x.shape
+    p = k // 2
+    xt = x.transpose(1, 0, 2, 3)
+    col = np.empty((c, k, k, n, h, w))
+    for i in range(k):
+        # output row r reads input row r + di, which exists for r in [top, bottom)
+        di = i - p
+        top, bottom = min(max(-di, 0), h), max(min(h - di, h), 0)
+        for j in range(k):
+            dj = j - p
+            left, right = min(max(-dj, 0), w), max(min(w - dj, w), 0)
+            window = col[:, i, j]  # (C, N, H, W)
+            window[:, :, :top] = 0.0
+            window[:, :, bottom:] = 0.0
+            window[:, :, top:bottom, :left] = 0.0
+            window[:, :, top:bottom, right:] = 0.0
+            window[:, :, top:bottom, left:right] = xt[:, :, top + di : bottom + di, left + dj : right + dj]
+    return col.reshape(c * k * k, n * h * w)
+
+
 def reference_conv2d(weight: np.ndarray, bias: np.ndarray, x: np.ndarray, dy: np.ndarray):
     """Row-major im2col convolution that `layers.Conv2d` must reproduce.
 

@@ -562,6 +562,22 @@ class TestMeasureCommand:
         assert capsys.readouterr().out == ""
         assert not report.exists() and not overlay.exists()
 
+    @pytest.mark.parametrize("missing", ("--json", "--overlay"))
+    def test_missing_output_folder_exit_2_before_any_output(self, tmp_path, flat_mask_file, capsys, missing):
+        folder = tmp_path / "nodir"
+        outputs = {"--json": tmp_path / "r.json", "--overlay": tmp_path / "o.png"}
+        outputs[missing] = folder / outputs[missing].name
+        args = ["measure", "--mask", str(flat_mask_file)] + [str(a) for item in outputs.items() for a in item]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {missing} folder not found: {folder}"]
+        assert not any(path.exists() for path in outputs.values())
+        # the folder is checked before the mask is read
+        args[2] = str(tmp_path / "nothing.pgm")
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {missing} folder not found: {folder}"]
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["measure", "--mask", str(tmp_path / "nothing.pgm")]) == 2
 

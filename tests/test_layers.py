@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layermet.nnet import gradcheck
+from layermet.nnet import gradcheck, layers
 from layermet.nnet.gradcheck import ALL_KINDS, LOSSES, TOLERANCE, check_layer, run_all
 from layermet.nnet.layers import BatchNorm2d, Conv2d, Dense, Dropout, MaxPool2, ReLU, Upsample2
 from layermet.nnet.models import build_rcnn, build_segmenter, softmax
@@ -9,6 +11,7 @@ from layermet.nnet.models import build_rcnn, build_segmenter, softmax
 from conftest import (
     reference_batchnorm2d,
     reference_conv2d,
+    reference_im2col,
     reference_maxpool2,
     reference_relu,
     reference_upsample2,
@@ -119,6 +122,24 @@ class TestForwardSemantics:
                 # with fewer than 8 output rows the BLAS product of the new
                 # layout sums in another order (measured <= 4.2e-16 relative)
                 assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.sampled_from((1, 3, 5)),
+        n=st.sampled_from((1, 3)),
+        c=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_im2col_equals_slice_copy_reference(self, k, n, c, h, w, seed):
+        # bit for bit, inputs smaller than the kernel included; -0.0, NaN and
+        # infinities must come through as they are
+        x = np.random.default_rng(seed).normal(size=(n, c, h, w))
+        x.flat[:: max(1, x.size // 3)] = (-0.0, np.nan, np.inf, -np.inf)[seed % 4]
+        col, ref = layers._im2col(x, k), reference_im2col(x, k)
+        assert col.shape == ref.shape == (c * k * k, n * h * w)
+        assert _same(col, ref)
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         conv = Conv2d(2, 3, 3, rng)

@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layermet import measure
@@ -14,11 +15,13 @@ from layermet.measure import (
     MeasureError,
     NonContiguousMaskError,
     SteepLayerError,
+    ThicknessReport,
     extract_boundaries,
     fit_regression_line,
     midpoints,
     orthogonal_report,
     orthogonal_samples,
+    report_json,
     report_to_dict,
     three_line_report,
 )
@@ -402,3 +405,39 @@ class TestReportJson:
         assert payload["mean_nm"] == payload["mean_px"] * 2.0
         assert len(payload["samples"]) == report.n
         assert set(payload["samples"][0]) == {"x", "y", "len_px"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.tuples(st.floats(), st.floats(), st.floats(), st.floats(), st.floats()),
+        columns=st.integers(0, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+                min_size=3,
+                max_size=3,
+            )
+        ),
+        non_finite=st.sampled_from((None, float("nan"), float("inf"), -float("inf"))),
+        method=st.sampled_from(("orthogonal", "three_line")),
+        file_name=st.text(alphabet=st.sampled_from('"\\/ab.\n\t\x00\x7f\xe9\u00b5\u2028\U0001f600'), max_size=8),
+    )
+    def test_report_json_equals_indented_dumps(self, head, columns, non_finite, method, file_name):
+        # byte for byte, on drawn reports: any finite sample floats (-0.0,
+        # subnormals and exponents included), NaN or infinities in the head
+        # and, one report in four, a non-finite sample value; file names with
+        # quotes, backslashes, control and non-ASCII characters
+        x, y, length = (np.array(c, dtype=np.float64) for c in columns)
+        if non_finite is not None and length.size:
+            length[-1] = non_finite
+        mean, sd, scale, mean_scaled, sd_scaled = head
+        report = ThicknessReport(
+            method, np.column_stack([x, y]), np.zeros((x.size, 2)), np.zeros((x.size, 2)), length,
+            mean, sd, x.size, scale, mean_scaled, sd_scaled,
+        )
+        assert report_json(report, file_name) == json.dumps(report_to_dict(report, file_name), indent=2)
+
+    @pytest.mark.parametrize("estimator", (orthogonal_report, three_line_report))
+    def test_report_json_on_measured_bands(self, estimator):
+        for tilt, width in ((0.0, 40), (7.5, 120), (-12.0, 300)):
+            mask = generate(SynthSpec(width=width, height=64, thickness=13, tilt_deg=tilt, seed=2)).truth_mask
+            report = estimator(mask, scale=0.37)
+            assert report_json(report, "mask_0001.pgm") == json.dumps(report_to_dict(report, "mask_0001.pgm"), indent=2)

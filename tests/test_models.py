@@ -27,7 +27,7 @@ from layermet.nnet import (
     train_rcnn,
     train_segmenter,
 )
-from layermet.nnet.models import _sgd_step
+from layermet.nnet.models import SEG_ARCH, _sgd_step
 from layermet.synth import SynthSpec, generate
 
 
@@ -266,10 +266,41 @@ def test_trained_models_hold_no_caches(flat_band_run, constant_rcnn_run):
         assert _cache_nbytes(run[2]) == 0
 
 
-# Traced peak of one train step at the training shapes, parameters and
-# momentum excluded: about 10% over the measured 28.6 MB (segmenter) and
-# 68.2 MB (regressor), and below the 37.4 and 88.5 MB of caches that live
-# on after their backward.
+def _one_sgd_step(model: Model, seed: int) -> list[np.ndarray]:
+    """The parameters after one momentum SGD step of `model` on a seeded batch."""
+    rng = np.random.default_rng(seed)
+    if model.arch == SEG_ARCH:
+        loss, x, target = softmax_cross_entropy, rng.uniform(size=(2, 1, 32, 48)), rng.integers(0, 2, size=(2, 32, 48))
+    else:
+        loss, x, target = mse_loss, (rng.uniform(size=(2, 1, 64, 256)) > 0.5) * 1.0, rng.uniform(size=(2, 1))
+    velocity = [np.zeros_like(p) for p in model.params()]
+    _, dout = loss(model.forward(x, train=True), target)
+    model.backward(dout)
+    _sgd_step(model.params(), model.grads(), velocity, 0.01)
+    return model.params()
+
+
+@pytest.mark.parametrize("build", (build_segmenter, build_rcnn))
+def test_gradient_arrays_made_by_the_first_backward(build):
+    # an inference-only model, built or loaded, holds no gradient arrays
+    net = build(0)
+    loaded = load_model(save_model(net))
+    for model in (net, loaded):
+        assert all(g is None for g in model.grads())
+        model.forward(np.zeros((1, 1, 64, 256)))
+        assert all(g is None for g in model.grads())
+    # one step on the loaded copy moves the parameters exactly as on the net
+    for after, loaded_after in zip(_one_sgd_step(net, 4), _one_sgd_step(loaded, 4)):
+        assert after.tobytes() == loaded_after.tobytes()
+    for model in (net, loaded):
+        assert [g.shape for g in model.grads()] == [p.shape for p in model.params()]
+
+
+# Traced peak of one train step at the training shapes, parameters,
+# gradients and momentum excluded: about 10% over the measured 28.6 MB
+# (segmenter) and 68.2 MB (regressor), and below the 37.4 and 88.5 MB of
+# caches that live on after their backward. The first backward makes the
+# gradient arrays inside the trace, so their bytes come off the peak.
 STEP_PEAK_MB = {"segmenter": 31.5, "regressor": 75.0}
 
 
@@ -290,7 +321,8 @@ def test_train_step_traced_peak(arch, rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 1e6 <= STEP_PEAK_MB[arch]
+    grad_bytes = sum(g.nbytes for g in model.grads())
+    assert (peak - grad_bytes) / 1e6 <= STEP_PEAK_MB[arch]
     assert _cache_nbytes(model) == 0
 
 
