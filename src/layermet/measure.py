@@ -294,11 +294,12 @@ def report_json(report: ThicknessReport, file_name: str = "") -> str:
 
     With `indent` set, json encodes in pure Python, a few microseconds per
     sample. Only the scalar head goes through json here; each sample's floats
-    are written with `repr`, which is json's own form of a finite float.
+    are written with `repr`, which is json's own form of a finite float. Both
+    estimators keep only finite samples; a report with any other sample value
+    raises ValueError.
     """
     if not (np.isfinite(report.anchor).all() and np.isfinite(report.length).all()):
-        # json writes NaN and Infinity where repr writes nan and inf
-        return json.dumps(report_to_dict(report, file_name), indent=2)
+        raise ValueError("report has a non-finite sample")
     head = json.dumps(_report_head(report, file_name), indent=2)
     samples = ",\n".join([_SAMPLE_JSON % s for s in zip(*report.anchor.T.tolist(), report.length.tolist())])
     # the head ends in "\n}": the samples key goes in before that line

@@ -416,24 +416,32 @@ class TestReportJson:
                 max_size=3,
             )
         ),
-        non_finite=st.sampled_from((None, float("nan"), float("inf"), -float("inf"))),
         method=st.sampled_from(("orthogonal", "three_line")),
         file_name=st.text(alphabet=st.sampled_from('"\\/ab.\n\t\x00\x7f\xe9\u00b5\u2028\U0001f600'), max_size=8),
     )
-    def test_report_json_equals_indented_dumps(self, head, columns, non_finite, method, file_name):
+    def test_report_json_equals_indented_dumps(self, head, columns, method, file_name):
         # byte for byte, on drawn reports: any finite sample floats (-0.0,
-        # subnormals and exponents included), NaN or infinities in the head
-        # and, one report in four, a non-finite sample value; file names with
-        # quotes, backslashes, control and non-ASCII characters
-        x, y, length = (np.array(c, dtype=np.float64) for c in columns)
-        if non_finite is not None and length.size:
-            length[-1] = non_finite
+        # subnormals and exponents included), NaN or infinities in the head,
+        # file names with quotes, backslashes, control and non-ASCII characters
+        report = self._report(method, head, *columns)
+        assert report_json(report, file_name) == json.dumps(report_to_dict(report, file_name), indent=2)
+
+    @pytest.mark.parametrize("column", range(3))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
+    def test_report_json_rejects_non_finite_sample(self, column, value):
+        columns = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        columns[column][1] = value
+        with pytest.raises(ValueError, match="non-finite sample"):
+            report_json(self._report("orthogonal", (5.5, 0.5, 1.0, 5.5, 0.5), *columns))
+
+    @staticmethod
+    def _report(method, head, x, y, length):
+        x, y, length = (np.array(c, dtype=np.float64) for c in (x, y, length))
         mean, sd, scale, mean_scaled, sd_scaled = head
-        report = ThicknessReport(
+        return ThicknessReport(
             method, np.column_stack([x, y]), np.zeros((x.size, 2)), np.zeros((x.size, 2)), length,
             mean, sd, x.size, scale, mean_scaled, sd_scaled,
         )
-        assert report_json(report, file_name) == json.dumps(report_to_dict(report, file_name), indent=2)
 
     @pytest.mark.parametrize("estimator", (orthogonal_report, three_line_report))
     def test_report_json_on_measured_bands(self, estimator):
