@@ -296,10 +296,10 @@ def test_gradient_arrays_made_by_the_first_backward(build):
         assert [g.shape for g in model.grads()] == [p.shape for p in model.params()]
 
 
-# Traced peak of one train step at the training shapes, parameters,
-# gradients and momentum excluded: about 10% over the measured 28.6 MB
-# (segmenter) and 68.2 MB (regressor), and below the 37.4 and 88.5 MB of
-# caches that live on after their backward.
+# Traced peak of one train step at the training shapes, parameters and
+# momentum excluded: about 10% over the measured 28.6 MB (segmenter) and
+# 68.2 MB (regressor), and below the 37.4 and 88.5 MB of caches that live
+# on after their backward.
 STEP_PEAK_MB = {"segmenter": 31.5, "regressor": 75.0}
 
 
