@@ -14,9 +14,10 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
   `report_json` text of both estimators after `postprocess` (or the error
   they raise), which is the text of `json.dumps(report_to_dict(...),
   indent=2)`, the mask `pgm_to_mask` reads back from a P2 encoding, and two
-  overlay PNGs with a hash of the RGB pixels decoded from each;
-  and the labels and areas of three noisy 257x301 masks, a 256x256 spiral
-  and a checkerboard;
+  overlay PNGs with a hash of the RGB pixels decoded from each; the overlay
+  PNG of a noisy 2048x256 band, whose 1.5 MB of scanlines take several
+  deflate pieces, and its decoded pixels; and the labels and areas of three
+  noisy 257x301 masks, a 256x256 spiral and a checkerboard;
 - overlays: the decoded pixel hashes alone, so a change to the PNG encoder
   that keeps the pixels moves the measure line but not this one;
 - pipeline: the artifacts of acceptance criterion 8's CLI pipeline, except
@@ -202,7 +203,7 @@ def read_mask(data: bytes) -> bytes:
 
 
 def measure_files() -> dict:
-    """Labels, areas, report JSON and P2 read-back per corpus mask, two
+    """Labels, areas, report JSON and P2 read-back per corpus mask, three
     overlay PNGs and their pixel hashes, and the labels and areas of each
     labeling_corpus mask."""
     files = {}
@@ -223,6 +224,11 @@ def measure_files() -> dict:
                 png = write_png(render_overlay(image, cleaned, report, caption))
                 files[f"{name}/overlay.png"] = png
                 files[f"{name}/overlay.png.rgb"] = hash_arrays([decode_png(png)]).encode()
+    wide = generate(SynthSpec(width=2048, height=256, thickness=20.7, tilt_deg=5.0, noise=0.03, seed=2048))
+    report = orthogonal_report(wide.truth_mask)
+    png = write_png(render_overlay(wide.image, wide.truth_mask, report, f"wide MT={report.mean_scaled:.2f}"))
+    files["wide_2048x256/overlay.png"] = png
+    files["wide_2048x256/overlay.png.rgb"] = hash_arrays([decode_png(png)]).encode()
     for name, cells in labeling_corpus():
         files[f"{name}/labels"] = label_hash(BinaryMask(cells))
     return files

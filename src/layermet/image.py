@@ -27,6 +27,8 @@ MAX_OVERLAY_LINES = 20
 # pixel would be: red and blue shaded, green blended toward 255.
 _SHADED = (1.0 - TINT_ALPHA) * np.arange(256.0)
 _TINT_RGB = np.rint(np.column_stack([_SHADED, _SHADED + TINT_ALPHA * 255.0, _SHADED])).astype(np.uint8)
+# The overlay RGB of gray level g: row g off the layer, row 256 + g on it.
+_OVERLAY_RGB = np.concatenate([np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1), _TINT_RGB])
 
 
 class PgmError(ValueError):
@@ -50,6 +52,16 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _adopt(cls, arr: np.ndarray):
+    """A `cls` holding `arr` itself, checked and locked as the constructor
+    would but without its copy: for a fresh array of the field's dtype that
+    no caller holds. The public constructor copies, so a caller's array is
+    never locked or shared."""
+    value = object.__new__(cls)
+    value._own(arr)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
     """Grayscale raster, row-major float64 intensities in [0, 1]."""
@@ -57,7 +69,9 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.pixels, dtype=np.float64)
+        self._own(np.array(self.pixels, dtype=np.float64))
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"image must be a nonempty 2-D grid, got shape {arr.shape}")
         if not np.isfinite(arr).all():
@@ -112,7 +126,9 @@ class RgbImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.pixels)
+        self._own(np.array(self.pixels))
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] * arr.shape[1] == 0:
             raise ValueError(f"RGB image must have shape (h, w, 3), got {arr.shape}")
         if arr.dtype != np.uint8:
@@ -134,7 +150,7 @@ def normalize(raw) -> GrayImage:
     arr = np.asarray(raw)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"raw grid must be integer-valued, got dtype {arr.dtype}")
-    return GrayImage(arr.astype(np.float64) / 255.0)
+    return _adopt(GrayImage, arr.astype(np.float64) / 255.0)
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
@@ -317,10 +333,10 @@ def render_overlay(image: GrayImage, mask: BinaryMask, report=None, caption: str
         raise ValueError(
             f"image {image.width}x{image.height} and mask {mask.width}x{mask.height} differ"
         )
-    gray = image.to_u8()
-    out = np.repeat(gray[:, :, None], 3, axis=2)
     cells = mask.cells
-    out[cells] = _TINT_RGB[gray[cells]]
+    index = np.left_shift(cells, 8, dtype=np.uint16)  # 256 on the layer, 0 off it
+    index |= image.to_u8()
+    out = _OVERLAY_RGB.take(index, axis=0)
 
     if report is not None:
         # evenly spaced chord indices, at least 1 apart, so no two coincide
@@ -342,4 +358,4 @@ def render_overlay(image: GrayImage, mask: BinaryMask, report=None, caption: str
             lit = np.array([[c == "1" for c in row] for row in glyph(ch)])[: image.height - 1]
             out[1 : 1 + len(lit), x : x + GLYPH_WIDTH][lit] = 255
             x += GLYPH_ADVANCE
-    return RgbImage(out)
+    return _adopt(RgbImage, out)

@@ -9,6 +9,7 @@ Version 2 dropped the parameterless softmax and linear records that ended the
 two nets in version 1; version 1 files are rejected.
 """
 
+import functools
 import math
 import struct
 
@@ -57,6 +58,19 @@ def save_model(model: Model) -> bytes:
     return bytes(out)
 
 
+# Precompiled layouts of the fixed fields; `_extents` gives an array's.
+_MAGIC = struct.Struct("<4s")
+_U32 = struct.Struct("<I")
+_U8 = struct.Struct("<B")
+_RECORD = struct.Struct("<BB")  # kind code, array count
+_F8 = np.dtype("<f8")
+
+
+@functools.cache
+def _extents(ndim: int) -> struct.Struct:
+    return struct.Struct(f"<{ndim}i")
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -69,22 +83,21 @@ class _Reader:
                 self.pos,
             )
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        self._need(size)
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
+    def take(self, layout: struct.Struct) -> tuple:
+        self._need(layout.size)
+        values = layout.unpack_from(self.data, self.pos)
+        self.pos += layout.size
         return values
 
     def take_array(self) -> tuple[tuple[int, ...], np.ndarray]:
         """An array record's declared shape and its flat payload."""
-        (ndim,) = self.take("<B")
-        shape = self.take(f"<{ndim}i")
-        if any(d < 0 for d in shape):
+        (ndim,) = self.take(_U8)
+        shape = self.take(_extents(ndim))
+        if shape and min(shape) < 0:
             raise ModelFormatError(f"negative extent in shape {shape}", self.pos)
         count = math.prod(shape)  # exact: declared extents may not fit in int64
         self._need(8 * count)
-        flat = np.frombuffer(self.data, "<f8", count, self.pos)
+        flat = np.frombuffer(self.data, _F8, count, self.pos)
         self.pos += 8 * count
         return shape, flat
 
@@ -92,39 +105,49 @@ class _Reader:
 def load_model(data: bytes) -> Model:
     """Reconstruct a model; validates magic, version, architecture, shapes and finite values."""
     reader = _Reader(data)
-    magic = bytes(reader.take("<4s")[0])
+    (magic,) = reader.take(_MAGIC)
     if magic != MAGIC:
         raise ModelFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-    (version,) = reader.take("<I")
+    (version,) = reader.take(_U32)
     if version != VERSION:
         raise ModelFormatError(f"unsupported format version {version}", 4)
-    (arch,) = reader.take("<B")
+    (arch,) = reader.take(_U8)
     if arch not in _BUILDERS:
         raise ArchitectureMismatchError(f"unknown architecture tag {arch}", ARCH_OFFSET)
     model = _BUILDERS[arch](None)
+    with np.errstate(over="ignore"):  # a sum of squares below may overflow
+        for layer in model.layers:
+            _read_record(reader, layer)
+    if reader.pos != len(data):
+        raise ModelFormatError(f"{len(data) - reader.pos} trailing bytes", reader.pos)
+    return model
 
-    for layer in model.layers:
-        record_at = reader.pos
-        kind_code, n_arrays = reader.take("<BB")
-        if kind_code != KIND_CODES[layer.kind]:
-            raise ArchitectureMismatchError(
-                f"layer kind code {kind_code} does not match expected "
-                f"{KIND_CODES[layer.kind]} ({layer.kind})",
-                record_at,
-            )
-        arrays = _state_arrays(layer)
-        if n_arrays != len(arrays):
+
+def _read_record(reader: _Reader, layer: Layer) -> None:
+    """Fill `layer`'s arrays from its record, checking kind, count, shapes and values."""
+    record_at = reader.pos
+    kind_code, n_arrays = reader.take(_RECORD)
+    if kind_code != KIND_CODES[layer.kind]:
+        raise ArchitectureMismatchError(
+            f"layer kind code {kind_code} does not match expected "
+            f"{KIND_CODES[layer.kind]} ({layer.kind})",
+            record_at,
+        )
+    arrays = _state_arrays(layer)
+    if n_arrays != len(arrays):
+        raise ModelFormatError(f"{layer.kind} carries {n_arrays} arrays, expected {len(arrays)}", record_at)
+    for target in arrays:
+        arr_at = reader.pos
+        shape, flat = reader.take_array()
+        if shape != target.shape:  # before the reshape, which rejects some shapes
             raise ModelFormatError(
-                f"{layer.kind} carries {n_arrays} arrays, expected {len(arrays)}", record_at
+                f"{layer.kind} array shape {shape} does not match declared {target.shape}",
+                arr_at,
             )
-        for target in arrays:
-            arr_at = reader.pos
-            shape, flat = reader.take_array()
-            if shape != target.shape:  # before the reshape, which rejects some shapes
-                raise ModelFormatError(
-                    f"{layer.kind} array shape {shape} does not match declared {target.shape}",
-                    arr_at,
-                )
+        target[...] = flat.reshape(shape)
+        # One pass: a sum of squares is finite unless a value is not finite
+        # or the sum overflows, which the scan for the culprit tells apart.
+        if not math.isfinite(np.vdot(target, target)):
             finite = np.isfinite(flat)
             if not finite.all():
                 first = int(finite.argmin())
@@ -132,7 +155,3 @@ def load_model(data: bytes) -> Model:
                     f"{layer.kind} array holds non-finite value {flat[first]}",
                     reader.pos - flat.nbytes + 8 * first,
                 )
-            target[...] = flat.reshape(shape)
-    if reader.pos != len(data):
-        raise ModelFormatError(f"{len(data) - reader.pos} trailing bytes", reader.pos)
-    return model

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..image import BinaryMask, GrayImage
+from ..image import BinaryMask, GrayImage, _adopt
 from .layers import BatchNorm2d, Conv2d, Dense, Dropout, Layer, MaxPool2, ReLU, Upsample2
 
 SEG_ARCH = 1
@@ -228,7 +228,7 @@ def segment_image(model: Model, image: GrayImage) -> BinaryMask:
     if ph == 0 and pw == 0:
         return predict_mask(model, image)
     padded = np.pad(image.pixels, ((0, ph), (0, pw)), mode="reflect")
-    mask = predict_mask(model, GrayImage(padded))
+    mask = predict_mask(model, _adopt(GrayImage, padded))
     return BinaryMask(mask.cells[:h, :w])
 
 

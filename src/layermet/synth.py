@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import BinaryMask, GrayImage
+from .image import BinaryMask, GrayImage, _adopt
 from .postprocess import label_components
 
 # Centerline is sampled at 4x column resolution for the distance test.
@@ -152,7 +152,7 @@ def generate(spec: SynthSpec) -> SynthSample:
     truth = BinaryMask(mask)
     if len(label_components(truth).regions) != 1:
         raise SynthSpecError("band rasterized into more than one connected region")
-    return SynthSample(GrayImage(img), truth, float(spec.thickness), spec)
+    return SynthSample(_adopt(GrayImage, img), truth, float(spec.thickness), spec)
 
 
 @dataclass(frozen=True)

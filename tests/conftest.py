@@ -16,6 +16,7 @@ from layermet.image import (
     CAPTION_BAND,
     MAX_OVERLAY_LINES,
     TINT_ALPHA,
+    _TINT_RGB,
     BinaryMask,
     GrayImage,
     PgmError,
@@ -313,6 +314,15 @@ def reference_render_overlay(image: GrayImage, mask: BinaryMask, report=None, ca
             lit = np.array([[c == "1" for c in row] for row in glyph(ch)])[: image.height - 1]
             out[1 : 1 + len(lit), x : x + GLYPH_WIDTH][lit] = 255
             x += GLYPH_ADVANCE
+    return out
+
+
+def reference_tint(gray: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """`render_overlay`'s tinted frame as it was before one gather built it:
+    the uint8 gray levels repeated to RGB, then each masked pixel's tinted
+    level gathered through the mask and scattered back."""
+    out = np.repeat(gray[:, :, None], 3, axis=2)
+    out[cells] = _TINT_RGB[gray[cells]]
     return out
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import signal
 import struct
+import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +426,32 @@ class TestSegmentCommand:
         assert "(byte 28)" in capsys.readouterr().err
 
 
+# Images whose filter-0 scanlines hold 4 bytes; exactly one deflate piece
+# (1 + 3 * 87381 = 262,144); one byte more (5 * (1 + 3 * 17476) = 262,145);
+# exactly two pieces; and seven, the last of 256 bytes.
+PIECE_SHAPES = [(1, 1), (1, 87381), (5, 17476), (2, 87381), (256, 2048)]
+PIECE_IDS = ["4_bytes", "one_piece", "one_piece_and_a_byte", "two_pieces", "seven_pieces"]
+
+
+def _speckled_pixels(height: int, width: int) -> np.ndarray:
+    """Mostly flat gray with sparse noise, so deflate finds matches that
+    reach back across piece boundaries."""
+    rng = np.random.default_rng(height * width)
+    pixels = np.full((height, width, 3), 90, dtype=np.uint8)
+    speckle = rng.random((height, width, 3)) < 0.05
+    pixels[speckle] = rng.integers(0, 256, size=int(speckle.sum()), dtype=np.uint8)
+    return pixels
+
+
+def _scanlines(pixels: np.ndarray) -> bytes:
+    """The raw bytes a PNG deflates: each row led by a zero filter byte."""
+    return np.pad(pixels.reshape(pixels.shape[0], -1), ((0, 0), (1, 0))).tobytes()
+
+
+def _idat(png: bytes) -> bytes:
+    return b"".join(payload for tag, payload in png_chunks(png) if tag == b"IDAT")
+
+
 class TestWritePng:
     @pytest.mark.parametrize(
         "height, width", [(7, 1), (5, 3), (9, 100), (1, 50)], ids=["width1", "width3", "width100", "one_row"]
@@ -434,11 +464,53 @@ class TestWritePng:
         gray = GrayImage(np.random.default_rng(3).random((20, 60)))
         self._assert_round_trip(render_overlay(gray, BinaryMask(np.zeros((20, 60), bool)), caption="MT=1.00"))
 
+    @pytest.mark.parametrize("height, width", PIECE_SHAPES, ids=PIECE_IDS)
+    def test_round_trip_at_piece_boundaries(self, height, width):
+        self._assert_round_trip(RgbImage(_speckled_pixels(height, width)))
+
+    @pytest.mark.parametrize("height, width", [(1, 1), (9, 100), (1, 87381)], ids=["4_bytes", "2709_bytes", "one_piece"])
+    def test_one_piece_is_zlib_compress(self, height, width):
+        pixels = _speckled_pixels(height, width)
+        idat, raw = _idat(write_png(RgbImage(pixels))), _scanlines(pixels)
+        assert len(raw) <= cli.PNG_PIECE and idat == zlib.compress(raw, 1)
+
+    @pytest.mark.parametrize("height, width", PIECE_SHAPES[2:], ids=PIECE_IDS[2:])
+    def test_pooled_pieces_equal_serial_pieces(self, height, width):
+        pixels = _speckled_pixels(height, width)
+        raw = _scanlines(pixels)
+        starts = range(0, len(raw), cli.PNG_PIECE)
+        serial = [cli._deflate_piece(memoryview(raw), start) for start in starts]
+        assert len(serial) == -(-len(raw) // cli.PNG_PIECE) >= 2
+        expected = b"\x78\x01" + b"".join(serial) + struct.pack(">I", zlib.adler32(raw))
+        assert _idat(write_png(RgbImage(pixels))) == expected
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_forked_after_a_pooled_write_writes_a_png(self, tmp_path):
+        rgb = RgbImage(_speckled_pixels(256, 2048))
+        png = write_png(rgb)  # starts the pool's threads, which a forked child lacks
+        out = tmp_path / "child.png"
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                out.write_bytes(write_png(rgb))
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's write_png did not return within 30 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert out.read_bytes() == png
+
     @staticmethod
     def _assert_round_trip(rgb: RgbImage):
         png = write_png(rgb)
-        idat = b"".join(payload for tag, payload in png_chunks(png) if tag == b"IDAT")
-        assert idat[:2] == b"\x78\x01"  # zlib header of deflate level 1
+        assert _idat(png)[:2] == b"\x78\x01"  # zlib header of deflate level 1
         ppm = write_ppm(rgb)
         assert decode_png(png).tobytes() == ppm[len(f"P6\n{rgb.width} {rgb.height}\n255\n") :]
 

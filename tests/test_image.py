@@ -23,7 +23,7 @@ from layermet.image import (
 from layermet.measure import orthogonal_report, three_line_report
 from layermet.synth import SynthSpec, generate
 
-from conftest import band_mask, reference_overlay_chords, reference_read_pgm, reference_render_overlay
+from conftest import band_mask, reference_overlay_chords, reference_read_pgm, reference_render_overlay, reference_tint
 from test_fuzz import BYTES, OPS, _mutate
 
 
@@ -74,6 +74,30 @@ class TestGrayImageInvariants:
         img = GrayImage(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "make, arr",
+        [
+            (GrayImage, np.linspace(0.0, 1.0, 12).reshape(3, 4)),
+            (RgbImage, np.arange(36, dtype=np.uint8).reshape(3, 4, 3)),
+        ],
+        ids=["gray", "rgb"],
+    )
+    def test_constructor_copies_the_callers_array(self, make, arr):
+        before = arr.copy()
+        value = make(arr)
+        pixels = value.pixels
+        assert arr.flags.writeable and not pixels.flags.writeable
+        assert not np.shares_memory(pixels, arr)
+        arr[...] = 0
+        assert np.array_equal(value.pixels, before) and value.pixels is pixels
+
+    def test_results_built_in_place_are_locked(self):
+        raw = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        gray = normalize(raw)
+        rgb = render_overlay(gray, BinaryMask(raw > 5))
+        assert not gray.pixels.flags.writeable and not rgb.pixels.flags.writeable
+        assert np.array_equal(gray.pixels, raw / 255.0) and raw.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -387,6 +411,22 @@ class TestOverlay:
         report = orthogonal_report(band) if with_report else None
         out = render_overlay(gray, mask, report=report, caption=caption).pixels
         expected = reference_render_overlay(gray, mask, report=report, caption=caption)
+        assert out.dtype == expected.dtype and np.array_equal(out, expected)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_one_gather_equals_repeat_and_scatter(self, h, w, density, seed):
+        # density 0 and 1 give the empty and the full mask
+        rng = np.random.default_rng(seed)
+        gray = GrayImage(rng.random((h, w)))
+        cells = rng.random((h, w)) < density
+        out = render_overlay(gray, BinaryMask(cells)).pixels
+        expected = reference_tint(gray.to_u8(), cells)
         assert out.dtype == expected.dtype and np.array_equal(out, expected)
 
     def test_dimension_mismatch(self):

@@ -396,6 +396,16 @@ class TestSerialization:
             load_model(bad)
         assert err.value.offset == at
 
+    @pytest.mark.parametrize("build", [build_segmenter, build_rcnn])
+    def test_finite_weights_whose_squares_overflow_load(self, build):
+        # The loader's finiteness check sums squares, which overflow here; the
+        # values are finite, so they load bit for bit and warn of nothing.
+        model = build(seed=0)
+        weight = model.layers[0].weight
+        weight[...] = np.where(np.arange(weight.size).reshape(weight.shape) % 2, 1e300, -1.7e308)
+        blob = save_model(model)
+        assert save_model(load_model(blob)) == blob
+
     def test_retired_flatten_record_rejected(self):
         # Regressor files from before `Dense` flattened its input carry a
         # parameterless flatten record (kind code 7) ahead of the first dense one.
