@@ -44,14 +44,13 @@ import numpy as np
 from layermet.cli import main, write_png
 from layermet.image import BinaryMask, GrayImage, MaskValueError, PgmError, pgm_to_mask, render_overlay
 from layermet.measure import MeasureError, orthogonal_report, report_json, three_line_report
-from layermet.nnet import (
-    BatchNorm2d,
+from layermet.nnet.io import load_model, save_model
+from layermet.nnet.layers import BatchNorm2d
+from layermet.nnet.models import (
     TrainConfig,
     build_rcnn,
     build_segmenter,
-    load_model,
     predict_thickness,
-    save_model,
     segment_image,
     train_rcnn,
     train_segmenter,

@@ -9,10 +9,7 @@ import argparse
 import functools
 import json
 import math
-import os
-import struct
 import sys
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +20,6 @@ from .image import (
     GrayImage,
     MaskValueError,
     PgmError,
-    RgbImage,
     _adopt,
     mask_to_pgm,
     normalize,
@@ -31,22 +27,10 @@ from .image import (
     read_pgm,
     render_overlay,
     write_pgm,
+    write_png,
+    write_ppm,
 )
-from .nnet import (
-    TOLERANCE,
-    ArchitectureMismatchError,
-    DivergenceError,
-    ModelFormatError,
-    TrainConfig,
-    load_model,
-    run_all,
-    save_model,
-    segment_image,
-    train_rcnn,
-    train_segmenter,
-)
-from .nnet.io import ARCH_OFFSET
-from .nnet.models import SEG_ARCH
+from .nnet import ArchitectureMismatchError, DivergenceError, ModelFormatError
 from .postprocess import EmptyPredictionError, postprocess
 
 EXIT_OK = 0
@@ -57,6 +41,9 @@ EXIT_PIPELINE = 3
 # Largest `synth --width`/`--height`, checked before anything is allocated:
 # generating one 4096x4096 sample peaks near 1 GB of memory.
 MAX_SYNTH_SIDE = 4096
+
+# Suffix of the `epoch,loss` file that a training command writes beside `--out`.
+LOSS_CSV = ".loss.csv"
 
 _INPUT_ERRORS = (
     PgmError,
@@ -107,71 +94,6 @@ def _image_side(text: str) -> int:
     return value
 
 
-def write_ppm(rgb: RgbImage) -> bytes:
-    header = f"P6\n{rgb.width} {rgb.height}\n255\n".encode("ascii")
-    return header + rgb.pixels.tobytes()
-
-
-# `write_png` deflates its scanlines in pieces of this many bytes, each on the
-# thread pool; each piece is primed with the DEFLATE_WINDOW bytes before it.
-PNG_PIECE = 1 << 18
-DEFLATE_WINDOW = 1 << 15
-
-
-def _deflate_piece(raw: memoryview, start: int) -> bytes:
-    """Raw level-1 deflate of `raw[start:start + PNG_PIECE]`, primed with the
-    window before it and ended by a byte-aligned sync flush, or by the final
-    block for the last piece. zlib releases the GIL while it compresses."""
-    history = {"zdict": raw[start - DEFLATE_WINDOW : start]} if start else {}
-    deflate = zlib.compressobj(1, zlib.DEFLATED, -15, **history)
-    end = start + PNG_PIECE
-    body = deflate.compress(raw[start:end])
-    return body + deflate.flush(zlib.Z_FINISH if end >= len(raw) else zlib.Z_SYNC_FLUSH)
-
-
-@functools.cache
-def _deflate_pool(pid: int):
-    """The deflate threads of process `pid`, made by its first PNG of several
-    pieces: a child forked after that has none of its parent's threads and
-    makes its own pool."""
-    from concurrent.futures import ThreadPoolExecutor  # 4 ms of imports no other command needs
-
-    return ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1))
-
-
-def write_png(rgb: RgbImage) -> bytes:
-    """Minimal 8-bit RGB PNG writer (filter 0 rows, one IDAT at zlib level 1).
-
-    Level 1 deflates a noisy micrograph about 5x faster than level 6 for a
-    file about 12% larger; the pixels are the same at every level. On the
-    `measure` benchmark's overlays, the Huffman-only and RLE strategies were
-    7-8% faster for files 1.8-1.9x larger, Sub and Up filters were slower
-    and larger, and level 0 made files 2.8x larger. The scanlines are
-    deflated in pieces of PNG_PIECE bytes on a thread pool and joined at
-    their sync flushes into one zlib stream, as pigz does. The bytes depend
-    on the pixels alone, and an image of one piece is exactly
-    `zlib.compress(raw, 1)` of its scanlines, deflated without a thread.
-    """
-
-    def chunk(tag: bytes, payload: bytes) -> bytes:
-        body = tag + payload
-        return struct.pack(">I", len(payload)) + body + struct.pack(">I", zlib.crc32(body))
-
-    ihdr = struct.pack(">IIBBBBB", rgb.width, rgb.height, 8, 2, 0, 0, 0)
-    rows = np.empty((rgb.height, 1 + 3 * rgb.width), np.uint8)
-    rows[:, 0] = 0  # a zero filter byte leads each row
-    rows[:, 1:] = rgb.pixels.reshape(rgb.height, -1)
-    raw = memoryview(rows).cast("B")
-    starts = range(0, len(raw), PNG_PIECE)
-    if len(starts) == 1:
-        pieces = [_deflate_piece(raw, 0)]
-    else:
-        pieces = _deflate_pool(os.getpid()).map(functools.partial(_deflate_piece, raw), starts)
-    checksum = zlib.adler32(raw)  # in this thread while the pool deflates
-    idat = b"".join([b"\x78\x01", *pieces, struct.pack(">I", checksum)])
-    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
-
-
 def _parse_image(data: bytes) -> GrayImage:
     return normalize(read_pgm(data))
 
@@ -204,22 +126,28 @@ def _read_all(jobs) -> list:
     return results
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(batch_size=args.batch, epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
-
-
 def _check_out_folder(flag: str, path: str | None) -> None:
-    """Fail before any input is read if the folder of output `path` is missing."""
-    if path is not None and not Path(path).parent.is_dir():
-        raise NotADirectoryError(f"{flag} folder not found: {Path(path).parent}")
+    """Fail before any input is read if output `path` is a directory or its folder is missing."""
+    if path is None:
+        return
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(f"{flag} is a directory: {path}")
+    if not out.parent.is_dir():
+        raise NotADirectoryError(f"{flag} folder not found: {out.parent}")
 
 
-def _save_trained(args, model, losses: list[float], summary: str) -> int:
-    """Write the weight file and its `<out>.loss.csv` of `epoch,loss`, then print the summary line."""
-    out = Path(args.out)
-    out.write_bytes(save_model(model))
+def _train(args, trainer, data: list, summary: str) -> int:
+    """Train with `trainer`, write the weight file and its `<out>.loss.csv` of
+    `epoch,loss`, then print the summary line."""
+    from .nnet.io import save_model
+    from .nnet.models import TrainConfig
+
+    config = TrainConfig(batch_size=args.batch, epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+    model, losses = trainer(data, config)
+    Path(args.out).write_bytes(save_model(model))
     lines = ["epoch,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(losses)]
-    out.with_suffix(out.suffix + ".loss.csv").write_text("\n".join(lines) + "\n")
+    Path(args.out + LOSS_CSV).write_text("\n".join(lines) + "\n")
     if not args.quiet:
         final = f"{losses[-1]:.6f}" if losses else "n/a"
         print(f"trained {summary}, {args.epochs} epochs, final loss {final}")
@@ -263,14 +191,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_seg(args) -> int:
-    _check_out_folder("--out", args.out)
+    from .nnet.models import train_segmenter
+
+    for path in (args.out, args.out + LOSS_CSV):
+        _check_out_folder("--out", path)
     jobs = []
     for path in _scan(Path(args.data), "img_*.pgm"):
         jobs += [(path, _parse_image), (path.with_name(path.name.replace("img_", "mask_", 1)), pgm_to_mask)]
     loaded = _read_all(jobs)
     pairs = list(zip(loaded[::2], loaded[1::2]))
-    model, losses = train_segmenter(pairs, _train_config(args))
-    return _save_trained(args, model, losses, f"segmenter on {len(pairs)} samples")
+    return _train(args, train_segmenter, pairs, f"segmenter on {len(pairs)} samples")
 
 
 def _parse_target(data: bytes) -> tuple[BinaryMask, float]:
@@ -280,13 +210,19 @@ def _parse_target(data: bytes) -> tuple[BinaryMask, float]:
 
 
 def cmd_train_rcnn(args) -> int:
-    _check_out_folder("--out", args.out)
+    from .nnet.models import train_rcnn
+
+    for path in (args.out, args.out + LOSS_CSV):
+        _check_out_folder("--out", path)
     data = _read_all((path, _parse_target) for path in _scan(Path(args.data), "mask_*.pgm"))
-    model, losses = train_rcnn(data, _train_config(args))
-    return _save_trained(args, model, losses, f"regressor on {len(data)} masks")
+    return _train(args, train_rcnn, data, f"regressor on {len(data)} masks")
 
 
 def cmd_segment(args) -> int:
+    from .nnet.io import ARCH_OFFSET, load_model
+    from .nnet.models import SEG_ARCH, segment_image
+
+    _check_out_folder("--out", args.out)
     model = load_model(Path(args.model).read_bytes())
     if model.arch != SEG_ARCH:
         raise ArchitectureMismatchError("model file is not a segmenter", ARCH_OFFSET)
@@ -335,6 +271,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_folder("--json", args.json)
     pred_dir, truth_dir = Path(args.pred_dir), Path(args.truth_dir)
     names = [p.name for p in _scan(pred_dir, "mask_*.pgm")]
     unmatched = sorted(set(names) ^ {p.name for p in _scan(truth_dir, "mask_*.pgm")})
@@ -350,6 +287,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .nnet.gradcheck import TOLERANCE, run_all
+
     errors = run_all(seed=args.seed)
     worst = max(errors.values())
     for kind, err in errors.items():

@@ -1,10 +1,14 @@
-"""Image and mask value types, grayscale normalization, PGM I/O, overlay rendering.
+"""Image and mask value types, grayscale normalization, PGM I/O, PNG/PPM writers, overlays.
 
 Pixel data lives in locked numpy arrays: images are float64 in [0, 1], masks
 are bool, overlays are uint8 RGB. Every operation here is a pure function;
 values are immutable after construction and safe to share across threads.
 """
 
+import functools
+import os
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,6 +302,71 @@ def pgm_to_mask(data: bytes) -> BinaryMask:
             index,
         )
     return BinaryMask(grid == 255)
+
+
+def write_ppm(rgb: RgbImage) -> bytes:
+    header = f"P6\n{rgb.width} {rgb.height}\n255\n".encode("ascii")
+    return header + rgb.pixels.tobytes()
+
+
+# `write_png` deflates its scanlines in pieces of this many bytes, each on the
+# thread pool; each piece is primed with the DEFLATE_WINDOW bytes before it.
+PNG_PIECE = 1 << 18
+DEFLATE_WINDOW = 1 << 15
+
+
+def _deflate_piece(raw: memoryview, start: int) -> bytes:
+    """Raw level-1 deflate of `raw[start:start + PNG_PIECE]`, primed with the
+    window before it and ended by a byte-aligned sync flush, or by the final
+    block for the last piece. zlib releases the GIL while it compresses."""
+    history = {"zdict": raw[start - DEFLATE_WINDOW : start]} if start else {}
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -15, **history)
+    end = start + PNG_PIECE
+    body = deflate.compress(raw[start:end])
+    return body + deflate.flush(zlib.Z_FINISH if end >= len(raw) else zlib.Z_SYNC_FLUSH)
+
+
+@functools.cache
+def _deflate_pool(pid: int):
+    """The deflate threads of process `pid`, made by its first PNG of several
+    pieces: a child forked after that has none of its parent's threads and
+    makes its own pool."""
+    from concurrent.futures import ThreadPoolExecutor  # 4 ms of imports no other command needs
+
+    return ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1))
+
+
+def write_png(rgb: RgbImage) -> bytes:
+    """Minimal 8-bit RGB PNG writer (filter 0 rows, one IDAT at zlib level 1).
+
+    Level 1 deflates a noisy micrograph about 5x faster than level 6 for a
+    file about 12% larger; the pixels are the same at every level. On the
+    `measure` benchmark's overlays, the Huffman-only and RLE strategies were
+    7-8% faster for files 1.8-1.9x larger, Sub and Up filters were slower
+    and larger, and level 0 made files 2.8x larger. The scanlines are
+    deflated in pieces of PNG_PIECE bytes on a thread pool and joined at
+    their sync flushes into one zlib stream, as pigz does. The bytes depend
+    on the pixels alone, and an image of one piece is exactly
+    `zlib.compress(raw, 1)` of its scanlines, deflated without a thread.
+    """
+
+    def chunk(tag: bytes, payload: bytes) -> bytes:
+        body = tag + payload
+        return struct.pack(">I", len(payload)) + body + struct.pack(">I", zlib.crc32(body))
+
+    ihdr = struct.pack(">IIBBBBB", rgb.width, rgb.height, 8, 2, 0, 0, 0)
+    rows = np.empty((rgb.height, 1 + 3 * rgb.width), np.uint8)
+    rows[:, 0] = 0  # a zero filter byte leads each row
+    rows[:, 1:] = rgb.pixels.reshape(rgb.height, -1)
+    raw = memoryview(rows).cast("B")
+    starts = range(0, len(raw), PNG_PIECE)
+    if len(starts) == 1:
+        pieces = [_deflate_piece(raw, 0)]
+    else:
+        pieces = _deflate_pool(os.getpid()).map(functools.partial(_deflate_piece, raw), starts)
+    checksum = zlib.adler32(raw)  # in this thread while the pool deflates
+    idat = b"".join([b"\x78\x01", *pieces, struct.pack(">I", checksum)])
+    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
 
 
 def _bresenham(x0: int, y0: int, x1: int, y1: int):

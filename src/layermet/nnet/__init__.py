@@ -1,63 +1,26 @@
-"""Minimal neural-network engine: layers, models, training, serialization."""
+"""Minimal neural-network engine: layers, models, training, serialization.
 
-from .gradcheck import ALL_KINDS, TOLERANCE, check_layer, run_all
-from .io import ArchitectureMismatchError, ModelFormatError, load_model, save_model
-from .layers import (
-    BatchNorm2d,
-    Conv2d,
-    Dense,
-    Dropout,
-    Layer,
-    MaxPool2,
-    ReLU,
-    Upsample2,
-)
-from .models import (
-    DivergenceError,
-    Model,
-    TrainConfig,
-    build_rcnn,
-    build_segmenter,
-    mse_loss,
-    predict_mask,
-    predict_thickness,
-    resample_mask_nearest,
-    segment_image,
-    softmax,
-    softmax_cross_entropy,
-    train_rcnn,
-    train_segmenter,
-)
+The submodules are `layers`, `models`, `io` and `gradcheck`; import from them.
+The package itself holds only the errors that the command line maps to exit
+codes, so that naming them loads no net.
+"""
 
-__all__ = [
-    "ALL_KINDS",
-    "TOLERANCE",
-    "ArchitectureMismatchError",
-    "BatchNorm2d",
-    "Conv2d",
-    "Dense",
-    "DivergenceError",
-    "Dropout",
-    "Layer",
-    "MaxPool2",
-    "Model",
-    "ModelFormatError",
-    "ReLU",
-    "TrainConfig",
-    "Upsample2",
-    "build_rcnn",
-    "build_segmenter",
-    "check_layer",
-    "load_model",
-    "mse_loss",
-    "predict_mask",
-    "predict_thickness",
-    "resample_mask_nearest",
-    "run_all",
-    "save_model",
-    "segment_image",
-    "softmax",
-    "softmax_cross_entropy",
-    "train_rcnn",
-    "train_segmenter",
-]
+
+class ModelFormatError(ValueError):
+    """Weight data is malformed; `offset` is the byte position of the problem."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (byte {offset})")
+        self.offset = offset
+
+
+class ArchitectureMismatchError(ModelFormatError):
+    pass
+
+
+class DivergenceError(RuntimeError):
+    """Training loss became non-finite; `epoch` is where it happened."""
+
+    def __init__(self, epoch: int):
+        super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
+        self.epoch = epoch

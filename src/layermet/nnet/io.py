@@ -15,24 +15,13 @@ import struct
 
 import numpy as np
 
+from . import ArchitectureMismatchError, ModelFormatError
 from .layers import KIND_CODES, BatchNorm2d, Layer
 from .models import _BUILDERS, Model
 
 MAGIC = b"LMET"
 VERSION = 2
 ARCH_OFFSET = 8  # byte position of the architecture tag
-
-
-class ModelFormatError(ValueError):
-    """Weight data is malformed; `offset` is the byte position of the problem."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte {offset})")
-        self.offset = offset
-
-
-class ArchitectureMismatchError(ModelFormatError):
-    pass
 
 
 def _state_arrays(layer: Layer) -> list[np.ndarray]:

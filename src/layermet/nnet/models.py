@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..image import BinaryMask, GrayImage, _adopt
+from . import DivergenceError
 from .layers import BatchNorm2d, Conv2d, Dense, Dropout, Layer, MaxPool2, ReLU, Upsample2
 
 SEG_ARCH = 1
@@ -30,14 +31,6 @@ RCNN_DROPOUT = 0.25
 RCNN_DENSE = (64, 16)
 
 SGD_MOMENTUM = 0.9
-
-
-class DivergenceError(RuntimeError):
-    """Training loss became non-finite; `epoch` is where it happened."""
-
-    def __init__(self, epoch: int):
-        super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass

@@ -18,17 +18,16 @@ from layermet.cli import main
 from layermet.image import BinaryMask
 from layermet.measure import orthogonal_report, three_line_report
 from layermet.metrics import comparison_fit, dice, iou, kfold, mse
-from layermet.nnet import (
+from layermet.nnet.gradcheck import TOLERANCE, run_all
+from layermet.nnet.layers import Dropout
+from layermet.nnet.models import (
     TrainConfig,
     predict_mask,
     predict_thickness,
-    run_all,
     softmax,
     train_rcnn,
     train_segmenter,
 )
-from layermet.nnet.gradcheck import TOLERANCE
-from layermet.nnet.layers import Dropout
 from layermet.postprocess import EmptyPredictionError, label_components, postprocess
 from layermet.synth import SynthRanges, SynthSpec, generate, generate_batch
 

@@ -10,11 +10,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layermet import cli
-from layermet.cli import MAX_SYNTH_SIDE, main, write_png, write_ppm
-from layermet.image import BinaryMask, GrayImage, RgbImage, mask_to_pgm, pgm_to_mask, render_overlay, write_pgm
-from layermet.nnet import build_rcnn, build_segmenter, load_model, save_model
+from layermet import image
+from layermet.cli import MAX_SYNTH_SIDE, main
+from layermet.image import (
+    BinaryMask,
+    GrayImage,
+    RgbImage,
+    mask_to_pgm,
+    pgm_to_mask,
+    render_overlay,
+    write_pgm,
+    write_png,
+    write_ppm,
+)
+from layermet.nnet import models
+from layermet.nnet.io import load_model, save_model
 from layermet.nnet.layers import BN_EPS, BatchNorm2d, Conv2d, Dense
+from layermet.nnet.models import build_rcnn, build_segmenter
 from layermet.postprocess import label_components
 from layermet.synth import SynthRanges, SynthSpec, generate, generate_batch
 
@@ -227,17 +239,37 @@ class TestTrainCommands:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("command, trainer", [("train-seg", "train_segmenter"), ("train-rcnn", "train_rcnn")])
-    def test_missing_out_folder_exit_2_before_training(self, tmp_path, data_dir, capsys, monkeypatch, command, trainer):
+    @pytest.mark.parametrize(
+        "command, trainer, fault",
+        [
+            pytest.param("train-seg", "train_segmenter", "missing_folder", id="train-seg-train_segmenter"),
+            pytest.param("train-rcnn", "train_rcnn", "missing_folder", id="train-rcnn-train_rcnn"),
+            ("train-seg", "train_segmenter", "is_directory"),
+            ("train-rcnn", "train_rcnn", "is_directory"),
+            ("train-seg", "train_segmenter", "loss_csv_is_directory"),
+            ("train-rcnn", "train_rcnn", "loss_csv_is_directory"),
+        ],
+    )
+    def test_missing_out_folder_exit_2_before_training(
+        self, tmp_path, data_dir, capsys, monkeypatch, command, trainer, fault
+    ):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{trainer} ran although --out cannot be written")
 
-        monkeypatch.setattr(cli, trainer, refuse)
-        folder = tmp_path / "nodir"
-        assert main([command, "--data", str(data_dir), "--epochs", "1", "--out", str(folder / "m.lmet")]) == 2
+        monkeypatch.setattr(models, trainer, refuse)
+        if fault == "missing_folder":
+            folder = tmp_path / "nodir"
+            out, message = folder / "m.lmet", f"error: --out folder not found: {folder}"
+        else:
+            out = tmp_path / "m.lmet"
+            directory = out if fault == "is_directory" else tmp_path / "m.lmet.loss.csv"
+            directory.mkdir()
+            message = f"error: --out is a directory: {directory}"
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--data", str(data_dir), "--epochs", "1", "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: --out folder not found: {folder}"]
-        assert captured.out == "" and not folder.exists()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == "" and sorted(tmp_path.rglob("*")) == before
 
     def test_train_seg_missing_dir_exit_2(self, tmp_path):
         code = main(
@@ -347,6 +379,17 @@ class TestSegmentCommand:
             ]
         )
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fault", ["missing_folder", "is_directory"])
+    def test_bad_out_exit_2_before_the_model_is_read(self, tmp_path, capsys, fault):
+        if fault == "missing_folder":
+            out, message = tmp_path / "nodir" / "m.pgm", f"error: --out folder not found: {tmp_path / 'nodir'}"
+        else:
+            out, message = tmp_path / "m.pgm", f"error: --out is a directory: {tmp_path / 'm.pgm'}"
+            out.mkdir()
+        missing = tmp_path / "missing"
+        assert main(["segment", "--model", str(missing), "--image", str(missing), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_empty_prediction_exit_3(self, tmp_path):
         model_path = tmp_path / "bg.lmet"
@@ -472,15 +515,15 @@ class TestWritePng:
     def test_one_piece_is_zlib_compress(self, height, width):
         pixels = _speckled_pixels(height, width)
         idat, raw = _idat(write_png(RgbImage(pixels))), _scanlines(pixels)
-        assert len(raw) <= cli.PNG_PIECE and idat == zlib.compress(raw, 1)
+        assert len(raw) <= image.PNG_PIECE and idat == zlib.compress(raw, 1)
 
     @pytest.mark.parametrize("height, width", PIECE_SHAPES[2:], ids=PIECE_IDS[2:])
     def test_pooled_pieces_equal_serial_pieces(self, height, width):
         pixels = _speckled_pixels(height, width)
         raw = _scanlines(pixels)
-        starts = range(0, len(raw), cli.PNG_PIECE)
-        serial = [cli._deflate_piece(memoryview(raw), start) for start in starts]
-        assert len(serial) == -(-len(raw) // cli.PNG_PIECE) >= 2
+        starts = range(0, len(raw), image.PNG_PIECE)
+        serial = [image._deflate_piece(memoryview(raw), start) for start in starts]
+        assert len(serial) == -(-len(raw) // image.PNG_PIECE) >= 2
         expected = b"\x78\x01" + b"".join(serial) + struct.pack(">I", zlib.adler32(raw))
         assert _idat(write_png(RgbImage(pixels))) == expected
 
@@ -634,21 +677,35 @@ class TestMeasureCommand:
         assert capsys.readouterr().out == ""
         assert not report.exists() and not overlay.exists()
 
-    @pytest.mark.parametrize("missing", ("--json", "--overlay"))
-    def test_missing_output_folder_exit_2_before_any_output(self, tmp_path, flat_mask_file, capsys, missing):
-        folder = tmp_path / "nodir"
+    @pytest.mark.parametrize(
+        "missing, fault",
+        [
+            pytest.param("--json", "missing_folder", id="--json"),
+            pytest.param("--overlay", "missing_folder", id="--overlay"),
+            ("--json", "is_directory"),
+            ("--overlay", "is_directory"),
+        ],
+    )
+    def test_missing_output_folder_exit_2_before_any_output(self, tmp_path, flat_mask_file, capsys, missing, fault):
         outputs = {"--json": tmp_path / "r.json", "--overlay": tmp_path / "o.png"}
-        outputs[missing] = folder / outputs[missing].name
+        if fault == "missing_folder":
+            folder = tmp_path / "nodir"
+            outputs[missing] = folder / outputs[missing].name
+            message = f"error: {missing} folder not found: {folder}"
+        else:
+            outputs[missing].mkdir()
+            message = f"error: {missing} is a directory: {outputs[missing]}"
         args = ["measure", "--mask", str(flat_mask_file)] + [str(a) for item in outputs.items() for a in item]
+        before = sorted(tmp_path.rglob("*"))
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {missing} folder not found: {folder}"]
-        assert not any(path.exists() for path in outputs.values())
-        # the folder is checked before the mask is read
+        assert captured.err.splitlines() == [message]
+        assert sorted(tmp_path.rglob("*")) == before
+        # the output paths are checked before the mask is read
         args[2] = str(tmp_path / "nothing.pgm")
         assert main(args) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: {missing} folder not found: {folder}"]
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["measure", "--mask", str(tmp_path / "nothing.pgm")]) == 2
@@ -702,6 +759,13 @@ class TestEvalCommand:
         payload = json.loads(report_path.read_text())
         assert payload["mean_dice"] == 0.5
         assert payload["per_image"][0]["id"] == "mask_0000.pgm"
+
+    def test_json_directory_exit_2_before_the_masks_are_read(self, tmp_path, capsys):
+        report = tmp_path / "eval.json"
+        report.mkdir()
+        missing = tmp_path / "missing"
+        assert main(["eval", "--pred-dir", str(missing), "--truth-dir", str(missing), "--json", str(report)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --json is a directory: {report}"]
 
     def test_unmatched_files_listed(self, tmp_path, capsys):
         pred, truth = tmp_path / "pred", tmp_path / "truth"

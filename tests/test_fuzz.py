@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from layermet.cli import _parse_target, _read_all
 from layermet.image import MaskValueError, PgmError, pgm_to_mask, read_pgm
-from layermet.nnet import ModelFormatError, build_segmenter, load_model, save_model
-from layermet.nnet.io import _state_arrays
+from layermet.nnet import ModelFormatError
+from layermet.nnet.io import _state_arrays, load_model, save_model
+from layermet.nnet.models import build_segmenter
 
 _GRID = np.array([[0, 255, 255, 0], [255, 0, 0, 255], [0, 0, 255, 255]], dtype=np.uint8)
 PGM_FILES = [

@@ -6,28 +6,26 @@ import pytest
 
 from layermet.image import BinaryMask, GrayImage
 from layermet.metrics import dice
-from layermet.nnet import (
-    ArchitectureMismatchError,
-    Conv2d,
+from layermet.nnet import ArchitectureMismatchError, ModelFormatError, layers
+from layermet.nnet.io import load_model, save_model
+from layermet.nnet.layers import Conv2d
+from layermet.nnet.models import (
+    SEG_ARCH,
     Model,
-    ModelFormatError,
     TrainConfig,
+    _sgd_step,
     build_rcnn,
     build_segmenter,
-    layers,
-    load_model,
     mse_loss,
     predict_mask,
     predict_thickness,
     resample_mask_nearest,
-    save_model,
     segment_image,
     softmax,
     softmax_cross_entropy,
     train_rcnn,
     train_segmenter,
 )
-from layermet.nnet.models import SEG_ARCH, _sgd_step
 from layermet.synth import SynthSpec, generate
 
 
