@@ -29,12 +29,21 @@ Prints one sha256 per group; run it on two checkouts and compare the lines:
   or the error with its offset or pixel index), so a change to what the PGM
   reader accepts moves this line and leaves the measure line as it was.
 
-Run from the repository root:
+Before the hash lines it prints, as `#` lines, the Python, numpy and BLAS
+versions and the OPENBLAS_NUM_THREADS setting, since the nets' hashes belong
+to one BLAS build. Run from the repository root:
 
     PYTHONPATH=src python scripts/bit_identity.py
+    PYTHONPATH=src python scripts/bit_identity.py --expect BIT_IDENTITY.txt
+
+With `--expect`, it compares its hash lines with a file this script wrote,
+names on stderr each line that moved, and exits 1 if any did.
 """
 
+import argparse
 import hashlib
+import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -270,10 +279,55 @@ def folder_files(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def environment() -> list[str]:
+    """The `#` lines naming what the hashes depend on beyond the source."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", f"unset ({os.cpu_count()} CPUs)")
+    return [
+        f"# python {platform.python_version()}",
+        f"# numpy {np.__version__}",
+        f"# blas {blas['name']} {blas['version']}",
+        f"# OPENBLAS_NUM_THREADS {threads}",
+    ]
+
+
+def hash_lines(lines: list[str]) -> dict:
+    """Each hash line's name and hash."""
+    return dict(line.split()[:2] for line in lines if line.strip() and not line.startswith("#"))
+
+
+def compare(recorded: list[str], lines: list[str]) -> list[str]:
+    """A note for each environment line that differs from the recorded one,
+    then a `moved:` line for each hash line that differs or that one side
+    lacks."""
+    report = [
+        f"note: recorded {old[2:]!r}, this run {new[2:]!r}"
+        for old, new in zip(recorded, lines)
+        if old.startswith("#") and new.startswith("#") and old != new
+    ]
+    want, got = hash_lines(recorded), hash_lines(lines)
+    for name in dict.fromkeys([*want, *got]):
+        if want.get(name) != got.get(name):
+            report.append(f"moved: {name} (expected {want.get(name)}, got {got.get(name)})")
+    return report
+
+
 def main_script():
+    parser = argparse.ArgumentParser(description="Hash what the library computes.")
+    parser.add_argument("--expect", type=Path, help="a file this script wrote; exit 1 if a hash line moved")
+    args = parser.parse_args()
+    recorded = args.expect.read_text().splitlines() if args.expect else None
+    lines = []
+
+    def emit(line: str) -> None:
+        lines.append(line)
+        print(line, flush=True)
+
+    for line in environment():
+        emit(line)
     (arrays0, nets), (arrays3, nets3) = net_arrays(0), net_arrays(3)
     arrays = arrays0 + arrays3
-    print(f"nets      {hash_arrays(arrays)}  ({len(arrays)} arrays)")
+    emit(f"nets      {hash_arrays(arrays)}  ({len(arrays)} arrays)")
     nets |= nets3 | {"segmenter_untrained": build_segmenter(0), "regressor_untrained": build_rcnn(0)}
     reloaded = {name: save_model(load_model(save_model(net))) for name, net in nets.items()}
 
@@ -286,21 +340,29 @@ def main_script():
                 sys.exit(f"synth --seed {seed} exited {code}")
         files = folder_files(root)
         files["edge_specs"] = hash_arrays(edge_arrays()).encode()
-        print(f"synth     {hash_files(files)}")
+        emit(f"synth     {hash_files(files)}")
 
         files = measure_files()
         failed = sum(name.endswith(".json") and not files[name].startswith(b"{") for name in files)
-        print(f"measure   {hash_files(files)}  ({len(files)} files, {failed} reports raised)")
+        emit(f"measure   {hash_files(files)}  ({len(files)} files, {failed} reports raised)")
         pixels = {name: data for name, data in files.items() if name.endswith(".rgb")}
-        print(f"overlays  {hash_files(pixels)}  ({len(pixels)} decoded overlays)")
+        emit(f"overlays  {hash_files(pixels)}  ({len(pixels)} decoded overlays)")
 
         artifacts = _run_pipeline(root / "pipeline")
         report = artifacts.pop("eval.json")
-        print(f"pipeline  {hash_files(artifacts)}  ({len(artifacts)} artifacts)")
-        print(f"eval.json {hashlib.sha256(report).hexdigest()}")
-    print(f"weights   {hash_files(reloaded)}  ({len(reloaded)} weight files)")
+        emit(f"pipeline  {hash_files(artifacts)}  ({len(artifacts)} artifacts)")
+        emit(f"eval.json {hashlib.sha256(report).hexdigest()}")
+    emit(f"weights   {hash_files(reloaded)}  ({len(reloaded)} weight files)")
     malformed = {f"malformed_p2/{i:02d}": read_mask(data) for i, data in enumerate(MALFORMED_P2)}
-    print(f"malformed {hash_files(malformed)}  ({len(malformed)} inputs)")
+    emit(f"malformed {hash_files(malformed)}  ({len(malformed)} inputs)")
+
+    if recorded is not None:
+        report = compare(recorded, lines)
+        moved = any(line.startswith("moved:") for line in report)
+        if not moved:
+            report.append(f"all {len(hash_lines(lines))} hash lines match {args.expect}")
+        print("\n".join(report), file=sys.stderr)
+        sys.exit(int(moved))
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ class GrayImage:
         return self.pixels.shape[0]
 
     def to_u8(self) -> np.ndarray:
-        return np.rint(self.pixels * 255.0).astype(np.uint8)
+        return np.rint(self.pixels * 255.0, out=np.empty(self.pixels.shape, np.uint8), casting="unsafe")
 
 
 @dataclass(frozen=True, eq=False)

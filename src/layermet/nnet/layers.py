@@ -22,6 +22,9 @@ The patch matrix is channel-major, (C*k*k, N*H*W): row (c, i, j) holds the
 padded input shifted by (i, j) for channel c, and the weight matrix
 (out, C*k*k) multiplies it directly. It is filled by one copy from a strided
 (C, k, k, N, H, W) view of a zero-padded, channel-major copy of the input.
+A 1x1 kernel's patch matrix is the channel-major input itself: a view of one
+image with no copy (the segmenter's head took 34.4 against 129.5 us at
+1x8x112x208), one copy for a batch, and the same GEMM operand either way.
 The k*k slice copies with their own zero borders that it replaced took 4x
 as long on the smallest maps (39 against 9 us at 1x8x6x10) and as long on
 the largest. Each conv returns its (out, N*H*W) product as a contiguous
@@ -39,9 +42,16 @@ element and ran 5-10x slower than a plain ufunc pass of the same size:
 - MaxPool2 picks the first maximum of each 2x2 block in scan order, as
   `argmax` did: first between the two columns of each row, then between the
   two rows, where an element wins only if it is larger, or NaN against a
-  number. Each pick is a branch-free XOR blend of int64 views. A
-  train-mode forward keeps a uint8 winner index (0 to 3 in scan order), and
-  backward writes `dy` to the winner of each block and +0.0 elsewhere.
+  number. A train-mode forward makes each pick a branch-free XOR blend of
+  int64 views and keeps a uint8 winner index (0 to 3 in scan order), and
+  backward writes `dy` to the winner of each block and +0.0 elsewhere. An
+  inference forward needs no index: `np.maximum(second, first)` over the
+  column pairs and then the row pairs gives the same bits, since on a tie
+  (+0.0 against -0.0) it returns its second operand and of a number and a
+  NaN the NaN. Of two NaNs it returns its first operand, the later one, so
+  an output holding any NaN is made again by the train-mode picks. At
+  1x8x48x80 this path took 16.1 us against 67.6, and at 1x8x112x208 106
+  against 739 (timeit best of 7, one BLAS thread, 2 vCPU VM).
 - A masked gradient, `np.where(mask, dy, 0.0)`, is `dy`'s bits ANDed with
   all-ones or all-zero words (`_masked`); Dropout masks its scaled input and
   gradient the same way.
@@ -49,7 +59,10 @@ element and ran 5-10x slower than a plain ufunc pass of the same size:
   `mean`, `var` and its first formulas did, and reuses its temporaries.
 - Upsample2's backward adds the four strided views of `dy` in the order
   numpy's two-axis sum did. Its forward keeps `repeat`, which measured faster
-  here than a `broadcast_to` and `reshape` copy.
+  here than a `broadcast_to` and `reshape` copy. It repeats the columns
+  before the rows, so the element-by-element repeat reads the input rather
+  than the row-doubled array, and the row repeat copies whole rows
+  (114.1 against 130.8 us at 1x8x56x104).
 """
 
 import math
@@ -72,20 +85,21 @@ def he_uniform(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarra
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """Channel-major patch matrix (C*k*k, N*H*W) of same-padded k x k windows."""
     n, c, h, w = x.shape
+    if k == 1:
+        # the channel-major input itself: a view for one image, one copy for a batch
+        return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).reshape(c, n * h * w)
     p = k // 2
     # The patch matrix is allocated before the padded copy, whose border is
     # zeroed by hand: the other order raised the peak RSS of a segment-and-
     # measure loop by 4-7 MB, and np.zeros raised it by 4-6 MB (2 MB huge
     # pages) in 8 of 40 process layouts, against 6 of 120 with these fills.
     col = np.empty((c, k, k, n, h, w))
-    src = x.transpose(1, 0, 2, 3)
-    if p:
-        src = np.empty((c, n, h + 2 * p, w + 2 * p))
-        src[:, :, :p] = 0.0
-        src[:, :, p + h :] = 0.0
-        src[:, :, p : p + h, :p] = 0.0
-        src[:, :, p : p + h, p + w :] = 0.0
-        src[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+    src = np.empty((c, n, h + 2 * p, w + 2 * p))
+    src[:, :, :p] = 0.0
+    src[:, :, p + h :] = 0.0
+    src[:, :, p : p + h, :p] = 0.0
+    src[:, :, p : p + h, p + w :] = 0.0
+    src[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
     sc, sn, sh, sw = src.strides
     # window (c, i, j) of image b is src[c, b] shifted down i rows and right j columns
     np.copyto(col, as_strided(src, (c, k, k, n, h, w), (sc, sh, sw, sn, sh, sw)))
@@ -273,6 +287,13 @@ class MaxPool2(Layer):
         _, _, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"maxpool2 needs even spatial dims, got {x.shape}")
+        if not train:
+            # the first element goes second, so ties keep it; two NaNs would
+            # not (see the module docstring), so any NaN takes the picks below
+            cols = np.maximum(x[:, :, :, 1::2], x[:, :, :, 0::2])
+            y = np.maximum(cols[:, :, 1::2], cols[:, :, 0::2])
+            if not np.isnan(y).any():
+                return y
         left, rows = _first_max(x[:, :, :, 0::2], x[:, :, :, 1::2])
         top, y = _first_max(rows[:, :, 0::2], rows[:, :, 1::2])
         if train:
@@ -297,7 +318,7 @@ class Upsample2(Layer):
     kind = "upsample2"
 
     def forward(self, x, train=False):
-        return x.repeat(2, axis=2).repeat(2, axis=3)
+        return x.repeat(2, axis=3).repeat(2, axis=2)
 
     def backward(self, dy):
         # Each row's column pair, then the two rows: the order in which

@@ -32,6 +32,9 @@ RCNN_DENSE = (64, 16)
 
 SGD_MOMENTUM = 0.9
 
+# A logit gap above this makes a pixel foreground without its softmax (see predict_mask).
+SURE_GAP = 1e-6
+
 
 @dataclass
 class TrainConfig:
@@ -203,14 +206,33 @@ def train_segmenter(data: list[tuple[GrayImage, BinaryMask]], cfg: TrainConfig) 
 
 
 def predict_mask(model: Model, image: GrayImage) -> BinaryMask:
-    """Per-pixel argmax over class probabilities; ties go to background."""
+    """Per-pixel argmax over class probabilities; ties go to background.
+
+    A pixel is foreground where its softmax gives the layer class the larger
+    probability. The softmax is monotone in the logit gap `l1 - l0`, so the
+    gap decides most pixels without an `exp`: above SURE_GAP the two
+    probabilities differ by about SURE_GAP relative, far above rounding, and
+    the pixel is foreground; at or below 0 the layer's probability is at most
+    the background's, and the pixel is background. The softmax decides the
+    rest as it decided every pixel before: gaps in (0, SURE_GAP], where `exp`
+    may round the two probabilities together (a gap of 1e-20 ties them), a
+    NaN gap, and a gap of +inf, which a logit of +inf gives as well as an
+    overflow. A gap of -inf is background either way.
+    """
     if image.height % SEG_DOWNSAMPLE or image.width % SEG_DOWNSAMPLE:
         raise ValueError(
             f"image dims {image.width}x{image.height} must be divisible by {SEG_DOWNSAMPLE}; "
             "use segment_image for automatic padding"
         )
-    probs = softmax(model.forward(image.pixels[None, None, :, :], train=False))
-    return BinaryMask(probs[0, 1] > probs[0, 0])
+    logits = model.forward(image.pixels[None, None, :, :], train=False)
+    gap = logits[0, 1] - logits[0, 0]
+    mask = gap > SURE_GAP
+    unsure = ~(mask | (gap <= 0.0))
+    unsure |= gap == np.inf
+    if unsure.any():
+        probs = softmax(logits[:, :, unsure])
+        mask[unsure] = probs[0, 1] > probs[0, 0]
+    return BinaryMask(mask)
 
 
 def segment_image(model: Model, image: GrayImage) -> BinaryMask:

@@ -24,6 +24,7 @@ from layermet.image import (
     _next_token,
 )
 from layermet.nnet.layers import BN_EPS, BN_MOMENTUM
+from layermet.nnet.models import softmax
 from layermet.postprocess import LabeledRegions, RegionStats
 from layermet.synth import CURVE_OVERSAMPLE, SynthSpec, centerline
 from layermet.measure import (
@@ -425,6 +426,14 @@ def reference_maxpool2(x: np.ndarray, dy: np.ndarray):
     np.put_along_axis(out, idx[..., None], dy[..., None], axis=-1)
     dx = out.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
     return y, dx
+
+
+def reference_predict_mask(model, image: GrayImage) -> BinaryMask:
+    """`models.predict_mask` as it was before it decided pixels from the
+    logit gap: the softmax of every pixel, foreground where the layer class
+    is strictly more probable."""
+    probs = softmax(model.forward(image.pixels[None, None, :, :], train=False))
+    return BinaryMask(probs[0, 1] > probs[0, 0])
 
 
 def reference_upsample2(x: np.ndarray, dy: np.ndarray):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from layermet.nnet import gradcheck, layers
 from layermet.nnet.gradcheck import ALL_KINDS, LOSSES, TOLERANCE, check_layer, run_all
@@ -20,6 +21,9 @@ from conftest import (
 # (height, width) of the benchmark's inspect images after segment_image pads
 # them to multiples of 16
 INSPECT_PADDED = ((48, 80), (64, 96), (80, 128), (96, 160), (64, 112), (48, 64), (80, 144), (112, 208))
+# signed zeros, infinities, two ordered numbers and two quiet NaNs with
+# different payloads: every case where a max can return other bits
+POOL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, 2.0, np.nan, np.int64(0x7FF8000000000001).view(np.float64)])
 NON_CONV = ("relu", "batchnorm", "maxpool2", "upsample2")
 REFERENCES = {"relu": reference_relu, "maxpool2": reference_maxpool2, "upsample2": reference_upsample2}
 
@@ -140,6 +144,8 @@ class TestForwardSemantics:
         col, ref = layers._im2col(x, k), reference_im2col(x, k)
         assert col.shape == ref.shape == (c * k * k, n * h * w)
         assert _same(col, ref)
+        if k == 1 and n == 1:
+            assert np.shares_memory(col, x)  # one image's 1x1 patch matrix is the input
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         conv = Conv2d(2, 3, 3, rng)
@@ -262,6 +268,20 @@ class TestNonConvAgainstReference:
             assert _same(pool.forward(x), y)
             assert _same(pool.forward(x, train=True), y)
             assert _same(pool.backward(dy), dx)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        picks=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 5)).flatmap(
+            lambda s: arrays(np.int8, (s[0], s[1], 2 * s[2], 2 * s[3]), elements=st.integers(0, POOL_VALUES.size - 1))
+        )
+    )
+    def test_maxpool_inference_bits(self, picks):
+        # the inference path takes np.maximum, train mode the comparisons
+        # that find the winner; both give the first maximum's bits
+        x = POOL_VALUES[picks]
+        y, _ = reference_maxpool2(x, np.zeros((*x.shape[:2], x.shape[2] // 2, x.shape[3] // 2)))
+        assert _same(MaxPool2().forward(x), y)
+        assert _same(MaxPool2().forward(x, train=True), y)
 
     @pytest.mark.parametrize("kind", CACHING)
     def test_backward_needs_train_forward(self, kind, rng):

@@ -1,12 +1,13 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from layermet.image import BinaryMask, GrayImage
 from layermet.metrics import dice
-from layermet.nnet import ArchitectureMismatchError, ModelFormatError, layers
+from layermet.nnet import ArchitectureMismatchError, ModelFormatError, layers, models
 from layermet.nnet.io import load_model, save_model
 from layermet.nnet.layers import Conv2d
 from layermet.nnet.models import (
@@ -27,6 +28,8 @@ from layermet.nnet.models import (
     train_segmenter,
 )
 from layermet.synth import SynthSpec, generate
+
+from conftest import reference_predict_mask
 
 
 def _flat_band_data(n=50, width=32, height=16, seed=5):
@@ -109,6 +112,15 @@ class TestSegModelForward:
         mask = predict_mask(model, GrayImage(np.full((32, 32), 0.5)))
         assert mask.area == 0
 
+    def test_rounded_tie_goes_to_background(self):
+        # exp(-1e-20) rounds to 1, so the two probabilities tie
+        model = build_segmenter(seed=0)
+        head = model.layers[-1]
+        head.weight[:] = 0.0
+        head.bias[:] = (0.0, 1e-20)
+        mask = predict_mask(model, GrayImage(np.full((32, 32), 0.5)))
+        assert mask.area == 0
+
 
 class TestTrainSegmenter:
     def test_flat_band_memorized(self, flat_band_run):
@@ -172,6 +184,92 @@ class TestTrainSegmenter:
         mask = BinaryMask(np.zeros((32, 48), dtype=bool))
         with pytest.raises(ValueError, match="image and mask dimensions differ"):
             train_segmenter([(img, mask)] * 8, TrainConfig(epochs=1))
+
+
+class _FixedLogits:
+    """A segmenter stand-in whose forward returns the given (1, 2, H, W) logits."""
+
+    def __init__(self, logits: np.ndarray):
+        self.logits = logits
+
+    def forward(self, x, train=False):
+        return self.logits
+
+
+def _masks_and_warnings(model, image) -> list:
+    """(mask cells, numpy warnings raised) of predict_mask and of its reference."""
+    out = []
+    for predict in (predict_mask, reference_predict_mask):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out.append((predict(model, image).cells, [str(w.message) for w in caught]))
+    return out
+
+
+# (background logit, layer logit) pairs at and around the logit-gap cut:
+# ties, gaps the softmax rounds to a tie, overflowing gaps, infinities and NaNs
+GAP_CASES = [
+    (0.0, 0.0),
+    (0.0, -0.0),
+    (0.0, 1e-20),
+    (1.0, 1.0 + 2e-16),
+    (0.0, 5e-7),
+    (0.0, 1e-6),
+    (0.0, 2e-6),
+    (0.0, -2e-6),
+    (1e308, -1e308),
+    (-1e308, 1e308),
+    (np.inf, 0.0),
+    (0.0, np.inf),
+    (-np.inf, 0.0),
+    (0.0, -np.inf),
+    (np.inf, np.inf),
+    (-np.inf, -np.inf),
+    (np.inf, -np.inf),
+    (-np.inf, np.inf),
+    (np.nan, 0.0),
+    (0.0, np.nan),
+    (np.nan, np.inf),
+]
+
+
+class TestPredictMaskGap:
+    """predict_mask decides most pixels from the logit gap and the rest by
+    softmax; every mask bit must match the softmax of every pixel."""
+
+    @pytest.mark.parametrize("pair", GAP_CASES, ids=repr)
+    def test_gap_cases_match_softmax(self, pair):
+        logits = np.empty((1, 2, 16, 16))
+        logits[0, 0], logits[0, 1] = pair
+        (mask, warned), (ref, ref_warned) = _masks_and_warnings(_FixedLogits(logits), GrayImage(np.zeros((16, 16))))
+        assert np.array_equal(mask, ref)
+        assert ref_warned or not warned  # no numpy warning the softmax did not raise
+
+    def test_mixed_grid_matches_softmax(self, rng):
+        # the gap cases scattered among gaps of every scale around the cut
+        logits = rng.normal(size=(1, 2, 48, 64))
+        logits[0, 1] = logits[0, 0] + rng.choice((-1.0, 1.0), size=(48, 64)) * 10.0 ** rng.uniform(-22, 3, (48, 64))
+        spots = rng.choice(48 * 64, size=(len(GAP_CASES), 20), replace=False)
+        for pair, where in zip(GAP_CASES, spots):
+            logits[0, 0].flat[where], logits[0, 1].flat[where] = pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            mask = predict_mask(_FixedLogits(logits), GrayImage(np.zeros((48, 64))))
+            ref = reference_predict_mask(_FixedLogits(logits), GrayImage(np.zeros((48, 64))))
+        assert np.array_equal(mask.cells, ref.cells)
+
+    @pytest.mark.parametrize(
+        "size", [(80, 48), (96, 64), (120, 72), (160, 96), (100, 60), (64, 48), (144, 80), (200, 100)]
+    )
+    def test_segment_image_matches_softmax(self, size, flat_band_run, monkeypatch):
+        # the benchmark's inspect sizes, three of them reflect-padded
+        _, _, model, _ = flat_band_run
+        w, h = size
+        image = generate(SynthSpec(width=w, height=h, thickness=0.2 * h, tilt_deg=4.0, noise=0.05, seed=w)).image
+        mask = segment_image(model, image)
+        monkeypatch.setattr(models, "predict_mask", reference_predict_mask)
+        ref = segment_image(model, image)
+        assert 0 < mask.area < w * h
+        assert np.array_equal(mask.cells, ref.cells)
 
 
 class TestRcnn:
