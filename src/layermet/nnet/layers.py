@@ -34,24 +34,31 @@ different memory order and every gradient of the segmenter changes in the
 last bits.
 
 The other layers keep the results of their first numpy versions bit for bit.
-They avoid `np.where`, gathers and scatters, which branch or index per
-element and ran 5-10x slower than a plain ufunc pass of the same size:
+A train-mode forward computes its output as an inference forward does and
+adds only what backward reads; BatchNorm2d (batch statistics) and Dropout
+(the random mask) differ between the modes by definition. The layers avoid
+`np.where`, gathers and scatters, which branch or index per element and ran
+5-10x slower than a plain ufunc pass of the same size; the one gather left,
+MaxPool2's, runs only for an output that holds a NaN:
 
 - ReLU's forward is `np.fmax(x, 0.0)`. It maps -0.0, NaN and -inf to +0.0
   exactly as `np.where(x > 0, x, 0.0)` did; `np.maximum` would pass NaN on.
-- MaxPool2 picks the first maximum of each 2x2 block in scan order, as
-  `argmax` did: first between the two columns of each row, then between the
-  two rows, where an element wins only if it is larger, or NaN against a
-  number. A train-mode forward makes each pick a branch-free XOR blend of
-  int64 views and keeps a uint8 winner index (0 to 3 in scan order), and
-  backward writes `dy` to the winner of each block and +0.0 elsewhere. An
-  inference forward needs no index: `np.maximum(second, first)` over the
-  column pairs and then the row pairs gives the same bits, since on a tie
-  (+0.0 against -0.0) it returns its second operand and of a number and a
-  NaN the NaN. Of two NaNs it returns its first operand, the later one, so
-  an output holding any NaN is made again by the train-mode picks. At
-  1x8x48x80 this path took 16.1 us against 67.6, and at 1x8x112x208 106
-  against 739 (timeit best of 7, one BLAS thread, 2 vCPU VM).
+- MaxPool2 gives the first maximum of each 2x2 block in scan order, as
+  `argmax` did, where an element wins only if it is larger, or NaN against a
+  number. Its values come from `np.maximum(second, first)` over the column
+  pairs and then the row pairs: on a tie (+0.0 against -0.0) it returns its
+  second operand, the first element, and of a number and a NaN the NaN. Of
+  two NaNs it returns its first operand, the later one, so an output holding
+  a NaN is taken again from `x` at the winner. The winner comes from the
+  same rule as comparisons, first between the two columns of each row, then
+  between the two rows of the column maxima, and is computed only in train
+  mode or for a NaN output. Train mode keeps it as a uint8 index (0 to 3 in
+  scan order), and backward writes `dy` to the winner of each block and
+  +0.0 elsewhere. A train-mode forward took 175 us at 4x8x48x80 and 399 at
+  2x8x64x256 against 470 and 665 with the int64 XOR blends of each pick it
+  replaced; an inference forward, which needs no index, takes 16 us at
+  1x8x48x80 against 76 with those blends (timeit best of 7, one BLAS
+  thread, 2 vCPU VM).
 - A masked gradient, `np.where(mask, dy, 0.0)`, is `dy`'s bits ANDed with
   all-ones or all-zero words (`_masked`); Dropout masks its scaled input and
   gradient the same way.
@@ -117,19 +124,6 @@ def _masked(a: np.ndarray, keep: np.ndarray, out: np.ndarray | None = None) -> n
         a.view(np.int64), np.negative(keep, dtype=np.int64), out=None if out is None else out.view(np.int64)
     )
     return bits.view(np.float64)
-
-
-def _first_max(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where `first` stays the maximum of each pair, and that maximum: `second`
-    wins only if it is larger, or NaN where `first` is a number."""
-    keep = first >= second
-    keep |= np.isnan(first)
-    # np.where(keep, first, second) bit for bit, as an XOR blend of int64 views
-    other = second.view(np.int64)
-    bits = first.view(np.int64) ^ other
-    bits &= np.negative(keep, dtype=np.int64)
-    bits ^= other
-    return keep, bits.view(np.float64)
 
 
 class Layer:
@@ -287,20 +281,27 @@ class MaxPool2(Layer):
         _, _, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"maxpool2 needs even spatial dims, got {x.shape}")
-        if not train:
-            # the first element goes second, so ties keep it; two NaNs would
-            # not (see the module docstring), so any NaN takes the picks below
-            cols = np.maximum(x[:, :, :, 1::2], x[:, :, :, 0::2])
-            y = np.maximum(cols[:, :, 1::2], cols[:, :, 0::2])
-            if not np.isnan(y).any():
-                return y
-        left, rows = _first_max(x[:, :, :, 0::2], x[:, :, :, 1::2])
-        top, y = _first_max(rows[:, :, 0::2], rows[:, :, 1::2])
+        # the first element goes second, so a tie keeps it (see the module docstring)
+        cols = np.maximum(x[:, :, :, 1::2], x[:, :, :, 0::2])
+        y = np.maximum(cols[:, :, 1::2], cols[:, :, 0::2])
+        nan = np.isnan(y).any()
+        if not (train or nan):
+            return y
+        # the winner: the first of a pair stays unless the second is larger,
+        # or NaN against a number
+        left = x[:, :, :, 0::2] >= x[:, :, :, 1::2]
+        left |= np.isnan(x[:, :, :, 0::2])
+        top = cols[:, :, 0::2] >= cols[:, :, 1::2]
+        top |= np.isnan(cols[:, :, 0::2])
+        bottom = ~top
+        right_top, right_bottom = ~left[:, :, 0::2], ~left[:, :, 1::2]
+        right = right_top ^ ((right_top ^ right_bottom) & bottom)
+        win = 2 * bottom.view(np.uint8) + right.view(np.uint8)
+        if nan:
+            # of two NaNs np.maximum returns the later, so take the winner's bits
+            y = np.choose(win, [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)])
         if train:
-            bottom = ~top
-            right_top, right_bottom = ~left[:, :, 0::2], ~left[:, :, 1::2]
-            right = right_top ^ ((right_top ^ right_bottom) & bottom)
-            self._cache = 2 * bottom.view(np.uint8) + right.view(np.uint8)
+            self._cache = win
         return y
 
     def backward(self, dy):

@@ -157,16 +157,6 @@ def _sgd_step(params, grads, velocity, lr: float) -> None:
         p -= lr * v
 
 
-def _check_uniform_dims(shapes: list[tuple[int, int]], divisor: int = 1) -> tuple[int, int]:
-    first = shapes[0]
-    for s in shapes:
-        if s != first:
-            raise ValueError(f"non-uniform sample dimensions: {first} vs {s}")
-    if first[0] % divisor or first[1] % divisor:
-        raise ValueError(f"dimensions {first} must be divisible by {divisor}")
-    return first
-
-
 def _run_epochs(model: Model, x, y, cfg: TrainConfig, loss_fn) -> list[float]:
     """Shared SGD loop; `loss_fn(output, target)` returns (loss, output gradient)."""
     cfg.validate()
@@ -194,7 +184,12 @@ def train_segmenter(data: list[tuple[GrayImage, BinaryMask]], cfg: TrainConfig) 
     """Train the segmenter on (image, mask) pairs with pixelwise cross-entropy."""
     if len(data) < 2 * cfg.batch_size:
         raise ValueError(f"need at least {2 * cfg.batch_size} samples, got {len(data)}")
-    _check_uniform_dims([(img.height, img.width) for img, _ in data], SEG_DOWNSAMPLE)
+    first = (data[0][0].height, data[0][0].width)
+    for img, _ in data:
+        if (img.height, img.width) != first:
+            raise ValueError(f"non-uniform sample dimensions: {first} vs {(img.height, img.width)}")
+    if first[0] % SEG_DOWNSAMPLE or first[1] % SEG_DOWNSAMPLE:
+        raise ValueError(f"dimensions {first} must be divisible by {SEG_DOWNSAMPLE}")
     for img, m in data:
         if (img.height, img.width) != (m.height, m.width):
             raise ValueError("image and mask dimensions differ within a sample")

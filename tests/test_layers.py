@@ -276,12 +276,16 @@ class TestNonConvAgainstReference:
         )
     )
     def test_maxpool_inference_bits(self, picks):
-        # the inference path takes np.maximum, train mode the comparisons
-        # that find the winner; both give the first maximum's bits
+        # both modes take the values from np.maximum and any NaN output from
+        # the winner; the backward routes a distinct dy per block to it, so
+        # blocks with both NaN payloads pin the winner index too
         x = POOL_VALUES[picks]
-        y, _ = reference_maxpool2(x, np.zeros((*x.shape[:2], x.shape[2] // 2, x.shape[3] // 2)))
+        dy = np.arange(1.0, x.size // 4 + 1).reshape(*x.shape[:2], x.shape[2] // 2, x.shape[3] // 2)
+        y, dx = reference_maxpool2(x, dy)
         assert _same(MaxPool2().forward(x), y)
-        assert _same(MaxPool2().forward(x, train=True), y)
+        pool = MaxPool2()
+        assert _same(pool.forward(x, train=True), y)
+        assert _same(pool.backward(dy), dx)
 
     @pytest.mark.parametrize("kind", CACHING)
     def test_backward_needs_train_forward(self, kind, rng):

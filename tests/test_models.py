@@ -185,6 +185,15 @@ class TestTrainSegmenter:
         with pytest.raises(ValueError, match="image and mask dimensions differ"):
             train_segmenter([(img, mask)] * 8, TrainConfig(epochs=1))
 
+    def test_dimension_errors_in_order(self, rng):
+        # non-uniform sizes first, then divisibility, then image against mask
+        img, wide = GrayImage(rng.random((24, 32))), GrayImage(rng.random((24, 48)))
+        mask = BinaryMask(np.zeros((24, 48), dtype=bool))
+        with pytest.raises(ValueError, match=r"^non-uniform sample dimensions: \(24, 32\) vs \(24, 48\)$"):
+            train_segmenter([(img, mask)] * 7 + [(wide, mask)], TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match=r"^dimensions \(24, 32\) must be divisible by 16$"):
+            train_segmenter([(img, mask)] * 8, TrainConfig(epochs=1))
+
 
 class _FixedLogits:
     """A segmenter stand-in whose forward returns the given (1, 2, H, W) logits."""
