@@ -20,7 +20,6 @@ from .image import (
     GrayImage,
     MaskValueError,
     PgmError,
-    _adopt,
     mask_to_pgm,
     normalize,
     pgm_to_mask,
@@ -254,10 +253,8 @@ def cmd_measure(args) -> int:
     if not (math.isfinite(report.mean_scaled) and math.isfinite(report.sd_scaled)):
         raise ValueError(f"--scale {args.scale:g} makes the scaled thickness overflow to infinity")
     if args.overlay:  # rendered before any output, so a bad --image leaves no file behind
-        if args.image:
-            image = _parse_image(Path(args.image).read_bytes())
-        else:
-            image = _adopt(GrayImage, mask.cells.astype(np.float64))
+        grid = read_pgm(Path(args.image).read_bytes()) if args.image else mask.cells * np.uint8(255)
+        image = normalize(grid)
         caption = f"{mask_path.name} MT={report.mean_scaled:.2f} SD={report.sd_scaled:.2f}"
         rgb = render_overlay(image, mask, report=report, caption=caption)
     if not args.quiet:

@@ -72,6 +72,19 @@ def flood_components(cells: np.ndarray) -> list[set[tuple[int, int]]]:
     return regions
 
 
+def reference_boundaries(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`measure.extract_boundaries` as a per-column loop: the occupied column
+    indices and the first and last True row of each."""
+    columns, top, bottom = [], [], []
+    for x in range(cells.shape[1]):
+        rows = [y for y in range(cells.shape[0]) if cells[y, x]]
+        if rows:
+            columns.append(x)
+            top.append(rows[0])
+            bottom.append(rows[-1])
+    return np.array(columns, dtype=np.intp), np.array(top, dtype=np.float64), np.array(bottom, dtype=np.float64)
+
+
 def spiral_cells(n: int) -> np.ndarray:
     """A one-pixel path winding inward with a one-pixel gap between turns."""
     cells = np.zeros((n, n), dtype=bool)

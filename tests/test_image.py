@@ -60,6 +60,30 @@ class TestNormalize:
         out = normalize(np.array([[a, b]], dtype=np.uint8))
         assert out.pixels[0, 0] <= out.pixels[0, 1]
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (np.array([[0, 256]], dtype=np.int64), "image values must lie in [0, 1]"),
+            (np.array([[-1, 0]], dtype=np.int64), "image values must lie in [0, 1]"),
+            (np.array([[True, False]]), "raw grid must be integer-valued, got dtype bool"),
+        ],
+        ids=["int64-256", "int64-minus1", "bool"],
+    )
+    def test_rejection_messages(self, raw, message):
+        # checked before the 8-bit grid is kept, so -1 and 256 never wrap to 255 and 0
+        with pytest.raises(ValueError) as err:
+            normalize(raw)
+        assert str(err.value) == message
+
+    def test_keeps_a_copy_of_the_callers_grid(self):
+        raw = (np.arange(48) * 5).reshape(6, 8).astype(np.uint8)
+        mask = BinaryMask(raw > 100)
+        img = normalize(raw)
+        pixels, overlay = img.pixels.copy(), render_overlay(img, mask).pixels
+        raw[...] = 0  # raises if normalize locked the caller's array
+        assert np.array_equal(img.pixels, pixels)
+        assert np.array_equal(render_overlay(img, mask).pixels, overlay)
+
 
 class TestGrayImageInvariants:
     def test_rejects_out_of_range(self):
@@ -277,6 +301,44 @@ class TestP2Oracle:
         assert err.value.offset == 13
 
 
+# The P2 byte classes as the format documents them: whitespace is bytes 9 to
+# 13 and 32, a pixel is ASCII digits, and '#' opens a comment only where a
+# token could start.
+P2_WHITESPACE = {9, 10, 11, 12, 13, 32}
+P2_DIGITS = set(range(ord("0"), ord("9") + 1))
+
+
+class TestP2ByteClasses:
+    """Each of the 256 byte values between two digits and inside a comment."""
+
+    def test_whitespace_is_the_documented_set(self):
+        assert set(image._WHITESPACE) == P2_WHITESPACE
+
+    def test_byte_between_two_digits(self):
+        wrong = {}
+        for b in range(256):
+            tok = b"7" + bytes([b]) + b"9"
+            if b in P2_WHITESPACE:
+                expected = ((1, 2), b"\x07\x09")
+            elif b in P2_DIGITS:  # one token of three digits, 700 or more
+                expected = (PgmError, f"pixel value {tok.decode()} out of range (byte 11)", 11)
+            else:  # any other byte, '#' included, belongs to the token
+                expected = (PgmError, f"bad pixel token {tok!r} (byte 11)", 11)
+            got = _outcome(read_pgm, b"P2\n2 1\n255\n" + tok + b"\n")
+            if got != expected:
+                wrong[b] = got
+        assert wrong == {}
+
+    def test_byte_inside_a_comment(self):
+        # a comment runs to its newline, whatever it holds
+        wrong = {}
+        for b in range(256):
+            got = _outcome(read_pgm, b"P2\n2 1\n255\n7 #" + bytes([b]) + b"\n9\n")
+            if got != ((1, 2), b"\x07\x09"):
+                wrong[b] = got
+        assert wrong == {}
+
+
 class TestMaskPgm:
     def test_all_true_payload(self):
         mask = BinaryMask(np.ones((2, 2), dtype=bool))
@@ -412,6 +474,19 @@ class TestOverlay:
         out = render_overlay(gray, mask, report=report, caption=caption).pixels
         expected = reference_render_overlay(gray, mask, report=report, caption=caption)
         assert out.dtype == expected.dtype and np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("caption", ["", "MT=10.00 SD=0.00"])
+    @pytest.mark.parametrize("with_report", [False, True], ids=["plain", "chords"])
+    def test_kept_grid_draws_what_to_u8_draws(self, with_report, caption):
+        # every gray level lies both on the band and off it
+        raw = (np.arange(64 * 100) % 256).reshape(64, 100).astype(np.uint8)
+        kept = normalize(raw)
+        rebuilt = GrayImage(kept.pixels)
+        band = band_mask(100, 20, 29, height=64)
+        report = orthogonal_report(band) if with_report else None
+        out = render_overlay(kept, band, report=report, caption=caption).pixels
+        expected = render_overlay(rebuilt, band, report=report, caption=caption).pixels
+        assert np.array_equal(rebuilt.to_u8(), raw) and np.array_equal(out, expected)
 
     @settings(max_examples=200)
     @given(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layermet import measure
@@ -27,10 +27,44 @@ from layermet.measure import (
 )
 from layermet.synth import SynthSpec, generate
 
-from conftest import band_mask, reference_orthogonal_samples
+from conftest import band_mask, flood_components, reference_boundaries, reference_orthogonal_samples
+
+
+@st.composite
+def single_region_cells(draw) -> np.ndarray:
+    """The 8-connected region through one drawn pixel of a random grid, alone;
+    grids of one row or one column are drawn too."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+    cells = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((h, w)) < density
+    pixel = (draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)))
+    cells[pixel] = True
+    region = next(r for r in flood_components(cells) if pixel in r)
+    out = np.zeros((h, w), dtype=bool)
+    out[tuple(np.array(sorted(region)).T)] = True
+    return out
+
+
+def _gapped_columns() -> np.ndarray:
+    # a C: the columns right of the first hold rows 1 and 6 and nothing between
+    cells = np.zeros((8, 5), dtype=bool)
+    cells[1, :] = cells[6, :] = True
+    cells[1:7, 0] = True
+    return cells
 
 
 class TestExtractBoundaries:
+    @settings(max_examples=200)
+    @given(single_region_cells())
+    @example(np.ones((1, 1), dtype=bool))
+    @example(np.ones((1, 9), dtype=bool))
+    @example(np.ones((7, 1), dtype=bool))
+    @example(_gapped_columns())
+    def test_equals_per_column_loop(self, cells):
+        bounds = extract_boundaries(BinaryMask(cells))
+        for got, want in zip((bounds.columns, bounds.top, bounds.bottom), reference_boundaries(cells)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_flat_band(self):
         bounds = extract_boundaries(band_mask(100, 20, 29, height=64))
         assert bounds.columns.tolist() == list(range(100))
