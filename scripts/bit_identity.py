@@ -245,8 +245,7 @@ def measure_files() -> dict:
 def label_hash(mask: BinaryMask) -> bytes:
     """A hash of the `label_components` labels and areas of `mask`."""
     regions = label_components(mask)
-    areas = np.array([r.area for r in regions.regions], dtype=np.int64)
-    return hash_arrays([regions.labels, areas]).encode()
+    return hash_arrays([regions.labels, regions.regions]).encode()
 
 
 def labeling_corpus():

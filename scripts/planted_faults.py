@@ -2,11 +2,12 @@
 
 Each fault is a file under `src/layermet/`, an exact string in it, its
 replacement, and the fast tests that should catch it. For each fault the
-script copies `src/`, `tests/` and `pyproject.toml` into a temporary folder,
-applies the fault there, and runs the named tests with pytest on the copy. A
-fault is caught when pytest reports a failed test. First the union of the
-named tests runs once on the unchanged copy and must pass, so a fault counts
-as caught only by tests that pass without it. Run from the repository root:
+script copies `src/`, `tests/`, `scripts/`, `pyproject.toml` and
+`BIT_IDENTITY.txt` into a temporary folder, applies the fault there, and runs
+the named tests with pytest on the copy. A fault is caught when pytest
+reports a failed test. First the union of the named tests runs once on the
+unchanged copy and must pass, so a fault counts as caught only by tests that
+pass without it. Run from the repository root:
 
     python scripts/planted_faults.py
 
@@ -103,6 +104,23 @@ FAULTS = (
         "arr.astype(np.uint8, copy=False)",
         ("tests/test_image.py::TestNormalize",),
     ),
+    Fault(
+        "largest_component keeps the last of a tie",
+        "postprocess.py",
+        "int(np.argmax(regions.regions)) + 1",
+        "len(regions.regions) - int(np.argmax(regions.regions[::-1]))",
+        (
+            "tests/test_postprocess.py::TestLargestComponent::test_tie_goes_to_earlier_raster_discovery",
+            "tests/test_postprocess.py::TestPostprocess::test_equal_area_specks_keep_the_earliest",
+        ),
+    ),
+    Fault(
+        "synth manifest rounds tilt_deg to two decimals",
+        "cli.py",
+        '"tilt_deg": spec.tilt_deg,',
+        '"tilt_deg": round(spec.tilt_deg, 2),',
+        ("tests/test_bit_identity.py",),
+    ),
 )
 
 
@@ -110,7 +128,9 @@ def _copy_checkout(dest: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     shutil.copytree(ROOT / "src", dest / "src", ignore=skip)
     shutil.copytree(ROOT / "tests", dest / "tests", ignore=skip)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    shutil.copytree(ROOT / "scripts", dest / "scripts", ignore=skip)
+    for name in ("pyproject.toml", "BIT_IDENTITY.txt"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _pytest(checkout: Path, tests) -> subprocess.CompletedProcess:

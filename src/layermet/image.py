@@ -290,7 +290,7 @@ def write_pgm(grid) -> bytes:
 
 def mask_to_pgm(mask: BinaryMask) -> bytes:
     """Serialize a mask as P5 with True -> 255 and False -> 0."""
-    return write_pgm(np.where(mask.cells, 255, 0).astype(np.uint8))
+    return write_pgm(mask.cells * np.uint8(255))
 
 
 def pgm_to_mask(data: bytes) -> BinaryMask:

@@ -21,18 +21,13 @@ class EmptyPredictionError(ValueError):
     """Raised when a prediction has no foreground region to keep."""
 
 
-@dataclass(frozen=True)
-class RegionStats:
-    label: int
-    area: int
-
-
 @dataclass(frozen=True, eq=False)
 class LabeledRegions:
-    """Dense labels 1..R over a mask, 0 meaning background, plus per-label areas."""
+    """Dense labels 1..R over a mask, 0 meaning background, and a read-only
+    int64 array of the R areas: label k's area is at index k - 1."""
 
     labels: np.ndarray
-    regions: tuple[RegionStats, ...]
+    regions: np.ndarray
 
 
 def label_components(mask: BinaryMask) -> LabeledRegions:
@@ -75,16 +70,16 @@ def label_components(mask: BinaryMask) -> LabeledRegions:
     lengths = ends - starts
     labels = np.zeros((height, width), dtype=np.int32)
     labels[cells] = np.repeat(run_label, lengths)
-    areas = np.bincount(run_label, weights=lengths)[1:].astype(np.int64).tolist()
-    return LabeledRegions(labels, tuple(RegionStats(label, area) for label, area in enumerate(areas, start=1)))
+    areas = np.bincount(run_label, weights=lengths)[1:].astype(np.int64)
+    areas.flags.writeable = False
+    return LabeledRegions(labels, areas)
 
 
 def largest_component(regions: LabeledRegions) -> BinaryMask:
     """Mask of the maximum-area region; ties go to the earliest-discovered label."""
-    if not regions.regions:
+    if regions.regions.size == 0:
         raise EmptyPredictionError("prediction has no foreground region")
-    best = max(regions.regions, key=lambda r: (r.area, -r.label))
-    return BinaryMask(regions.labels == best.label)
+    return BinaryMask(regions.labels == int(np.argmax(regions.regions)) + 1)
 
 
 def postprocess(mask: BinaryMask) -> BinaryMask:

@@ -25,7 +25,7 @@ from layermet.image import (
 )
 from layermet.nnet.layers import BN_EPS, BN_MOMENTUM
 from layermet.nnet.models import softmax
-from layermet.postprocess import LabeledRegions, RegionStats
+from layermet.postprocess import LabeledRegions
 from layermet.synth import CURVE_OVERSAMPLE, SynthSpec, centerline
 from layermet.measure import (
     MIN_SAMPLES,
@@ -162,8 +162,7 @@ def reference_label_components(mask: BinaryMask) -> LabeledRegions:
         final = remap.setdefault(root, len(remap) + 1)
         labels[y, start:end] = final
 
-    areas = np.bincount(labels.ravel())[1:].tolist()
-    return LabeledRegions(labels, tuple(RegionStats(label, area) for label, area in enumerate(areas, start=1)))
+    return LabeledRegions(labels, np.bincount(labels.ravel())[1:].astype(np.int64))
 
 
 def reference_read_pgm(data: bytes) -> np.ndarray:
