@@ -54,7 +54,6 @@ from layermet.cli import main, write_png
 from layermet.image import BinaryMask, GrayImage, MaskValueError, PgmError, pgm_to_mask, render_overlay
 from layermet.measure import MeasureError, orthogonal_report, report_json, three_line_report
 from layermet.nnet.io import load_model, save_model
-from layermet.nnet.layers import BatchNorm2d
 from layermet.nnet.models import (
     TrainConfig,
     build_rcnn,
@@ -93,9 +92,7 @@ def net_arrays(seed: int) -> tuple[list, dict]:
         for i, (w, h) in enumerate(ODD_SIZES)
     ]
     arrays = list(seg.params())
-    for layer in seg.layers:
-        if isinstance(layer, BatchNorm2d):
-            arrays += [layer.running_mean, layer.running_var]
+    arrays += [getattr(layer, name) for layer in seg.layers for name in layer.BUFFERS]
     arrays.append(np.asarray(seg_losses))
     arrays += [segment_image(seg, s.image).cells for s in odd]
     arrays += list(rcnn.params())

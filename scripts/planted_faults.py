@@ -4,15 +4,17 @@ Each fault is a file under `src/layermet/`, an exact string in it, its
 replacement, and the fast tests that should catch it. For each fault the
 script copies `src/`, `tests/`, `scripts/`, `pyproject.toml` and
 `BIT_IDENTITY.txt` into a temporary folder, applies the fault there, and runs
-the named tests with pytest on the copy. A fault is caught when pytest
-reports a failed test. First the union of the named tests runs once on the
-unchanged copy and must pass, so a fault counts as caught only by tests that
-pass without it. Run from the repository root:
+all the named tests with pytest on the copy, past the first failure. A fault
+is caught when, under every named node id, at least one test fails or errs;
+the script names each id that caught nothing. First the union of the named
+tests runs once on the unchanged copy and must pass, so a fault counts as
+caught only by tests that pass without it. Run from the repository root:
 
     python scripts/planted_faults.py
 
-It prints one line per fault and exits 1 if any fault survives, if a fault's
-string is not found exactly once, or if the unchanged copy fails a named test.
+It prints one line per fault and exits 1 if any fault survives, if a named
+id catches nothing, if a fault's string is not found exactly once, or if the
+unchanged copy fails a named test.
 Tier-1 does not collect this script (its name does not start with `test_`).
 """
 
@@ -115,6 +117,13 @@ FAULTS = (
         ),
     ),
     Fault(
+        "batchnorm running statistics stored in swapped order",
+        "nnet/layers.py",
+        'BUFFERS = ("running_mean", "running_var")',
+        'BUFFERS = ("running_var", "running_mean")',
+        ("tests/test_models.py::TestSerialization::test_records_hold_the_documented_arrays_in_order",),
+    ),
+    Fault(
         "synth manifest rounds tilt_deg to two decimals",
         "cli.py",
         '"tilt_deg": spec.tilt_deg,',
@@ -134,11 +143,20 @@ def _copy_checkout(dest: Path) -> None:
 
 
 def _pytest(checkout: Path, tests) -> subprocess.CompletedProcess:
+    # every named test runs, and -rfE lists each failed or erroring one by node id
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
+
+
+def _caught_nothing(result: subprocess.CompletedProcess, tests) -> list[str]:
+    """The named node ids under which no test failed or erred."""
+    failed = [
+        line.split()[1] for line in result.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))
+    ]
+    return [t for t in tests if not any(f == t or f.startswith((t + "::", t + "[")) for f in failed)]
 
 
 def _run(fault: Fault | None, tests) -> subprocess.CompletedProcess:
@@ -174,10 +192,16 @@ def main() -> int:
     for fault in FAULTS:
         result = _run(fault, fault.tests)
         # pytest exits 1 when a test failed; 0 means none did, and any other
-        # code (collection error, no tests found) is no catch either
-        verdict = {0: "SURVIVED", 1: "caught"}.get(result.returncode, f"ERROR (pytest exit {result.returncode})")
+        # code (collection error, no tests found) is no catch either. A fault
+        # is caught only when a test under every named id failed.
+        missed = _caught_nothing(result, fault.tests)
+        verdict = {0: "SURVIVED", 1: "partly" if missed else "caught"}.get(
+            result.returncode, f"ERROR (pytest exit {result.returncode})"
+        )
         print(f"{verdict:9} {fault.name}: {_summary(result)}")
-        if result.returncode != 1:
+        for test in missed:
+            print(f"          caught nothing: {test}")
+        if result.returncode != 1 or missed:
             survivors.append(fault.name)
     elapsed = time.perf_counter() - start
     print(f"{len(FAULTS) - len(survivors)} of {len(FAULTS)} faults caught in {elapsed:.1f} s")

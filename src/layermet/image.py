@@ -75,9 +75,11 @@ class GrayImage:
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"image must be a nonempty 2-D grid, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        # one pass each: a NaN makes both extremes NaN, and an infinity is one
+        lo, hi = arr.min(), arr.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("image contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("image values must lie in [0, 1]")
         object.__setattr__(self, "pixels", _locked(arr))
 

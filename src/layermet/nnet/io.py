@@ -4,7 +4,10 @@ Layout (little-endian):
     magic "LMET" | uint32 version | uint8 arch tag | per-layer records
 Each record is: uint8 kind code | uint8 array count | per array:
     uint8 ndim | int32 * ndim extents | float64 * prod(extents) data
-BatchNorm records append running mean and variance after gamma and beta.
+A record holds the arrays its layer declares, `PARAMS` then `BUFFERS`:
+weight, bias for conv2d and dense; gamma, beta, running_mean, running_var
+for batchnorm; none for the other kinds. One `Struct` per fixed field
+writes it and reads it back.
 Version 2 dropped the parameterless softmax and linear records that ended the
 two nets in version 1; version 1 files are rejected.
 """
@@ -16,7 +19,7 @@ import struct
 import numpy as np
 
 from . import ArchitectureMismatchError, ModelFormatError
-from .layers import KIND_CODES, BatchNorm2d, Layer
+from .layers import KIND_CODES, Layer
 from .models import _BUILDERS, Model
 
 MAGIC = b"LMET"
@@ -24,30 +27,7 @@ VERSION = 2
 ARCH_OFFSET = 8  # byte position of the architecture tag
 
 
-def _state_arrays(layer: Layer) -> list[np.ndarray]:
-    arrays = list(layer.params())
-    if isinstance(layer, BatchNorm2d):
-        arrays += [layer.running_mean, layer.running_var]
-    return arrays
-
-
-def save_model(model: Model) -> bytes:
-    """Serialize a model's architecture tag, parameters, and running stats."""
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", VERSION)
-    out += struct.pack("<B", model.arch)
-    for layer in model.layers:
-        arrays = _state_arrays(layer)
-        out += struct.pack("<BB", KIND_CODES[layer.kind], len(arrays))
-        for arr in arrays:
-            out += struct.pack("<B", arr.ndim)
-            out += struct.pack(f"<{arr.ndim}i", *arr.shape)
-            out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return bytes(out)
-
-
-# Precompiled layouts of the fixed fields; `_extents` gives an array's.
+# The fixed fields' layouts; `_extents` gives an array's.
 _MAGIC = struct.Struct("<4s")
 _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
@@ -58,6 +38,20 @@ _F8 = np.dtype("<f8")
 @functools.cache
 def _extents(ndim: int) -> struct.Struct:
     return struct.Struct(f"<{ndim}i")
+
+
+def save_model(model: Model) -> bytes:
+    """Serialize a model's architecture tag, parameters, and running stats."""
+    out = bytearray(_MAGIC.pack(MAGIC) + _U32.pack(VERSION) + _U8.pack(model.arch))
+    for layer in model.layers:
+        names = layer.PARAMS + layer.BUFFERS
+        out += _RECORD.pack(KIND_CODES[layer.kind], len(names))
+        for name in names:
+            arr = getattr(layer, name)
+            out += _U8.pack(arr.ndim)
+            out += _extents(arr.ndim).pack(*arr.shape)
+            out += np.ascontiguousarray(arr, dtype=_F8).tobytes()
+    return bytes(out)
 
 
 class _Reader:
@@ -122,10 +116,11 @@ def _read_record(reader: _Reader, layer: Layer) -> None:
             f"{KIND_CODES[layer.kind]} ({layer.kind})",
             record_at,
         )
-    arrays = _state_arrays(layer)
-    if n_arrays != len(arrays):
-        raise ModelFormatError(f"{layer.kind} carries {n_arrays} arrays, expected {len(arrays)}", record_at)
-    for target in arrays:
+    names = layer.PARAMS + layer.BUFFERS
+    if n_arrays != len(names):
+        raise ModelFormatError(f"{layer.kind} carries {n_arrays} arrays, expected {len(names)}", record_at)
+    for name in names:
+        target = getattr(layer, name)
         arr_at = reader.pos
         shape, flat = reader.take_array()
         if shape != target.shape:  # before the reshape, which rejects some shapes

@@ -2,10 +2,14 @@
 
 Activations are float64 arrays in (N, C, H, W) order (dense layers flatten
 their input to (N, F)). Every layer caches what its backward pass needs during
-a train-mode forward; backward returns the input gradient and fills
-per-parameter gradients retrievable via `grads()`. The gradient arrays are
-made by a layer's first backward, so a model that only infers, built or
-loaded, holds none, and `grads()` gives `None` for each until then.
+a train-mode forward; backward returns the input gradient. A layer names
+the arrays it stores in `PARAMS` (trained; parameter `name`'s gradient,
+filled by backward, is the attribute `"d" + name`) and `BUFFERS` (stored,
+not trained: BatchNorm2d's running statistics); `params()` and `grads()`
+look the names up at each call, since a train step rebinds some of them,
+and a weight-file record holds `PARAMS + BUFFERS` in that order. The
+gradient arrays are made by a layer's first backward, so a model that only
+infers, built or loaded, holds none, and `grads()` gives `None` for each.
 
 Each layer has one cache slot, `_cache`, which a train-mode forward fills
 and `Layer._take_cache` empties: every backward takes its cache on entry, so
@@ -128,6 +132,8 @@ def _masked(a: np.ndarray, keep: np.ndarray, out: np.ndarray | None = None) -> n
 
 class Layer:
     kind = "?"
+    PARAMS: tuple[str, ...] = ()  # trained arrays; each one's gradient is "d" + name
+    BUFFERS: tuple[str, ...] = ()  # arrays that are stored but not trained
     _cache = None  # what backward needs, set by a train-mode forward
 
     def _take_cache(self):
@@ -139,10 +145,10 @@ class Layer:
         return cache
 
     def params(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, name) for name in self.PARAMS]
 
     def grads(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, "d" + name) for name in self.PARAMS]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -155,6 +161,7 @@ class Conv2d(Layer):
     """k x k same-padding stride-1 convolution; k must be odd."""
 
     kind = "conv2d"
+    PARAMS = ("weight", "bias")
     dweight = dbias = None  # made by the first backward
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, rng: np.random.Generator | None):
@@ -163,12 +170,6 @@ class Conv2d(Layer):
         self.in_ch, self.out_ch, self.ksize = in_ch, out_ch, ksize
         self.weight = he_uniform(rng, (out_ch, in_ch, ksize, ksize), in_ch * ksize * ksize)
         self.bias = np.zeros(out_ch)
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self.dweight, self.dbias]
 
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
@@ -216,6 +217,8 @@ class BatchNorm2d(Layer):
     """Per-channel batch normalization with running statistics for inference."""
 
     kind = "batchnorm"
+    PARAMS = ("gamma", "beta")
+    BUFFERS = ("running_mean", "running_var")
     dgamma = dbeta = None  # made by the first backward
 
     def __init__(self, channels: int):
@@ -224,12 +227,6 @@ class BatchNorm2d(Layer):
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def grads(self):
-        return [self.dgamma, self.dbeta]
 
     def forward(self, x, train=False):
         if x.shape[1] != self.channels:
@@ -367,18 +364,13 @@ class Dense(Layer):
     """Fully connected layer; an (N, ...) input is flattened to (N, n_in)."""
 
     kind = "dense"
+    PARAMS = ("weight", "bias")
     dweight = dbias = None  # made by the first backward
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None):
         self.n_in, self.n_out = n_in, n_out
         self.weight = he_uniform(rng, (n_in, n_out), n_in)
         self.bias = np.zeros(n_out)
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self.dweight, self.dbias]
 
     def forward(self, x, train=False):
         if x.ndim < 2 or math.prod(x.shape[1:]) != self.n_in:

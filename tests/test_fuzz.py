@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from layermet.cli import _parse_target, _read_all
 from layermet.image import MaskValueError, PgmError, pgm_to_mask, read_pgm
 from layermet.nnet import ModelFormatError
-from layermet.nnet.io import _state_arrays, load_model, save_model
+from layermet.nnet.io import load_model, save_model
 from layermet.nnet.models import build_segmenter
 
 _GRID = np.array([[0, 255, 255, 0], [255, 0, 0, 255], [0, 0, 255, 255]], dtype=np.uint8)
@@ -32,7 +32,8 @@ def _structure_offsets(blob: bytes) -> list[int]:
     for layer in build_segmenter(seed=0).layers:
         offsets += [pos, pos + 1]
         pos += 2
-        for arr in _state_arrays(layer):
+        for name in layer.PARAMS + layer.BUFFERS:
+            arr = getattr(layer, name)
             header = 1 + 4 * arr.ndim
             offsets += range(pos, pos + header)
             pos += header + 8 * arr.size

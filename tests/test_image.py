@@ -94,6 +94,27 @@ class TestGrayImageInvariants:
         with pytest.raises(ValueError):
             GrayImage(np.array([[0.5, np.nan]]))
 
+    @pytest.mark.parametrize("make", [GrayImage, lambda arr: image._adopt(GrayImage, arr)], ids=["public", "adopt"])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([0.5, np.nan], "image contains non-finite values"),
+            ([np.inf, 0.5], "image contains non-finite values"),
+            ([0.5, -np.inf], "image contains non-finite values"),
+            ([-0.1, 0.5], "image values must lie in [0, 1]"),
+            ([0.5, 1.1], "image values must lie in [0, 1]"),
+            ([-0.1, np.nan], "image contains non-finite values"),
+            ([1.1, -np.inf], "image contains non-finite values"),
+            ([np.inf, -0.1], "image contains non-finite values"),
+        ],
+        ids=["nan", "+inf", "-inf", "-0.1", "1.1", "nan-before-range", "-inf-before-range", "+inf-before-range"],
+    )
+    def test_value_check_messages(self, make, values, message):
+        # the non-finite check comes first, also for a grid that leaves [0, 1]
+        with pytest.raises(ValueError) as err:
+            make(np.array([values, [0.0, 1.0]]))
+        assert str(err.value) == message
+
     def test_pixels_locked(self):
         img = GrayImage(np.zeros((2, 2)))
         with pytest.raises(ValueError):

@@ -432,7 +432,60 @@ def test_train_step_traced_peak(arch, rng):
     assert _cache_nbytes(model) == 0
 
 
+# The weight-file records as the README describes them: each kind's code and
+# the arrays its record holds, in order. Written out here, not read from
+# `io` or from the layers' declarations, so the two can be checked against it.
+DOCUMENTED_RECORDS = {
+    "conv2d": (1, ("weight", "bias")),
+    "relu": (2, ()),
+    "batchnorm": (3, ("gamma", "beta", "running_mean", "running_var")),
+    "maxpool2": (4, ()),
+    "upsample2": (5, ()),
+    "dropout": (6, ()),
+    "dense": (8, ("weight", "bias")),
+}
+
+
+def _read_records(blob: bytes) -> tuple[bytes, list]:
+    """The 9-byte header and (kind code, arrays) per record, read from the
+    README's layout: uint8 kind, uint8 count, then per array uint8 ndim,
+    int32 extents and float64 values, all little-endian."""
+    records, pos = [], 9
+    while pos < len(blob):
+        kind, count = blob[pos], blob[pos + 1]
+        pos += 2
+        arrays = []
+        for _ in range(count):
+            ndim = blob[pos]
+            shape = struct.unpack_from(f"<{ndim}i", blob, pos + 1)
+            pos += 1 + 4 * ndim
+            size = int(np.prod(shape))
+            arrays.append(np.frombuffer(blob, "<f8", size, pos).reshape(shape))
+            pos += 8 * size
+        records.append((kind, arrays))
+    return blob[:9], records
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("build", [build_segmenter, build_rcnn])
+    def test_records_hold_the_documented_arrays_in_order(self, build):
+        model = build(seed=0)
+        expected, start = [], 0
+        for layer in model.layers:
+            code, names = DOCUMENTED_RECORDS[layer.kind]
+            for name in names:  # values that no other array of the model holds
+                arr = getattr(layer, name)
+                arr[...] = np.arange(start, start + arr.size).reshape(arr.shape)
+                start += arr.size
+            expected.append((code, [getattr(layer, name).copy() for name in names]))
+        header, records = _read_records(save_model(model))
+        assert header == b"LMET" + struct.pack("<IB", 2, model.arch)
+        assert [kind for kind, _ in records] == [code for code, _ in expected]
+        for (kind, arrays), (_, want) in zip(records, expected):
+            assert len(arrays) == len(want), kind
+            for got, arr in zip(arrays, want):
+                assert got.shape == arr.shape and np.array_equal(got, arr), kind
+
     def test_round_trip_bitwise(self):
         model = build_segmenter(seed=9)
         blob = save_model(model)
