@@ -345,17 +345,12 @@ class Dropout(Layer):
     def forward(self, x, train=False):
         if not train:
             return x
-        if self.p == 0.0:
-            self._cache = True  # every unit kept: backward passes dy through
-            return x
         self._cache = mask = self.rng.random(x.shape) >= self.p
         y = x / (1.0 - self.p)
         return _masked(y, mask, out=y)
 
     def backward(self, dy):
         mask = self._take_cache()
-        if mask is True:
-            return dy
         dx = dy / (1.0 - self.p)
         return _masked(dx, mask, out=dx)
 

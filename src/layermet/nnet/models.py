@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..image import BinaryMask, GrayImage, _adopt
+from ..image import BinaryMask, GrayImage
 from . import DivergenceError
 from .layers import BatchNorm2d, Conv2d, Dense, Dropout, Layer, MaxPool2, ReLU, Upsample2
 
@@ -32,7 +32,7 @@ RCNN_DENSE = (64, 16)
 
 SGD_MOMENTUM = 0.9
 
-# A logit gap above this makes a pixel foreground without its softmax (see predict_mask).
+# A logit gap above this makes a pixel foreground without its softmax (see segment_image).
 SURE_GAP = 1e-6
 
 
@@ -200,8 +200,12 @@ def train_segmenter(data: list[tuple[GrayImage, BinaryMask]], cfg: TrainConfig) 
     return model, _run_epochs(model, x, y, cfg, softmax_cross_entropy)
 
 
-def predict_mask(model: Model, image: GrayImage) -> BinaryMask:
-    """Per-pixel argmax over class probabilities; ties go to background.
+def segment_image(model: Model, image: GrayImage) -> BinaryMask:
+    """The segmenter's mask of `image`: per-pixel argmax over class
+    probabilities, ties going to background.
+
+    A side that is not a multiple of SEG_DOWNSAMPLE is reflect-padded up to
+    one for the forward pass, and the mask is cropped back to the image.
 
     A pixel is foreground where its softmax gives the layer class the larger
     probability. The softmax is monotone in the logit gap `l1 - l0`, so the
@@ -214,12 +218,11 @@ def predict_mask(model: Model, image: GrayImage) -> BinaryMask:
     NaN gap, and a gap of +inf, which a logit of +inf gives as well as an
     overflow. A gap of -inf is background either way.
     """
-    if image.height % SEG_DOWNSAMPLE or image.width % SEG_DOWNSAMPLE:
-        raise ValueError(
-            f"image dims {image.width}x{image.height} must be divisible by {SEG_DOWNSAMPLE}; "
-            "use segment_image for automatic padding"
-        )
-    logits = model.forward(image.pixels[None, None, :, :], train=False)
+    h, w = image.height, image.width
+    x = image.pixels
+    if h % SEG_DOWNSAMPLE or w % SEG_DOWNSAMPLE:
+        x = np.pad(x, ((0, -h % SEG_DOWNSAMPLE), (0, -w % SEG_DOWNSAMPLE)), mode="reflect")
+    logits = model.forward(x[None, None, :, :], train=False)
     gap = logits[0, 1] - logits[0, 0]
     mask = gap > SURE_GAP
     unsure = ~(mask | (gap <= 0.0))
@@ -227,19 +230,7 @@ def predict_mask(model: Model, image: GrayImage) -> BinaryMask:
     if unsure.any():
         probs = softmax(logits[:, :, unsure])
         mask[unsure] = probs[0, 1] > probs[0, 0]
-    return BinaryMask(mask)
-
-
-def segment_image(model: Model, image: GrayImage) -> BinaryMask:
-    """Reflect-pad to a multiple of SEG_DOWNSAMPLE, predict, and crop back."""
-    h, w = image.height, image.width
-    ph = (-h) % SEG_DOWNSAMPLE
-    pw = (-w) % SEG_DOWNSAMPLE
-    if ph == 0 and pw == 0:
-        return predict_mask(model, image)
-    padded = np.pad(image.pixels, ((0, ph), (0, pw)), mode="reflect")
-    mask = predict_mask(model, _adopt(GrayImage, padded))
-    return BinaryMask(mask.cells[:h, :w])
+    return BinaryMask(mask[:h, :w])
 
 
 def resample_mask_nearest(mask: BinaryMask, height: int, width: int) -> np.ndarray:

@@ -75,13 +75,10 @@ def label_components(mask: BinaryMask) -> LabeledRegions:
     return LabeledRegions(labels, areas)
 
 
-def largest_component(regions: LabeledRegions) -> BinaryMask:
-    """Mask of the maximum-area region; ties go to the earliest-discovered label."""
+def postprocess(mask: BinaryMask) -> BinaryMask:
+    """Keep only the largest 8-connected region of a predicted mask; ties go
+    to the earliest-discovered label."""
+    regions = label_components(mask)
     if regions.regions.size == 0:
         raise EmptyPredictionError("prediction has no foreground region")
     return BinaryMask(regions.labels == int(np.argmax(regions.regions)) + 1)
-
-
-def postprocess(mask: BinaryMask) -> BinaryMask:
-    """Keep only the largest 8-connected region of a predicted mask."""
-    return largest_component(label_components(mask))

@@ -22,8 +22,8 @@ from layermet.nnet.gradcheck import TOLERANCE, run_all
 from layermet.nnet.layers import Dropout
 from layermet.nnet.models import (
     TrainConfig,
-    predict_mask,
     predict_thickness,
+    segment_image,
     softmax,
     train_rcnn,
     train_segmenter,
@@ -157,7 +157,7 @@ def test_criterion_5_segmenter_proxy(segmenter_proxy):
     model, _, test, t0 = segmenter_proxy
     dices, ious = [], []
     for sample in test:
-        pred = predict_mask(model, sample.image)
+        pred = segment_image(model, sample.image)
         try:
             pred = postprocess(pred)
         except EmptyPredictionError:

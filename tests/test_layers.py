@@ -369,10 +369,12 @@ class TestDropout:
         assert _same(drop.backward(dy), np.where(mask, dy / (1.0 - p), 0.0))
 
     def test_zero_rate_passes_through(self, rng):
+        # every unit is kept and divided by 1.0, which leaves each value's bits
         drop = Dropout(0.0, rng)
         x, dy = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 4, 4))
-        assert drop.forward(x, train=True) is x
-        assert drop.backward(dy) is dy
+        x.reshape(-1)[:8] = (-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324)
+        assert _same(drop.forward(x, train=True), x)
+        assert _same(drop.backward(dy), dy)
         with pytest.raises(RuntimeError, match="dropout backward without a cached train-mode forward"):
             drop.backward(dy)
 

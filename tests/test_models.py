@@ -7,18 +7,18 @@ import pytest
 
 from layermet.image import BinaryMask, GrayImage
 from layermet.metrics import dice
-from layermet.nnet import ArchitectureMismatchError, ModelFormatError, layers, models
+from layermet.nnet import ArchitectureMismatchError, ModelFormatError, layers
 from layermet.nnet.io import load_model, save_model
 from layermet.nnet.layers import Conv2d
 from layermet.nnet.models import (
     SEG_ARCH,
+    SEG_DOWNSAMPLE,
     Model,
     TrainConfig,
     _sgd_step,
     build_rcnn,
     build_segmenter,
     mse_loss,
-    predict_mask,
     predict_thickness,
     resample_mask_nearest,
     segment_image,
@@ -82,13 +82,8 @@ class TestSegModelForward:
     def test_spatial_dims_preserved_when_divisible(self, rng):
         model = build_segmenter(seed=3)
         img = GrayImage(rng.random((48, 80)))
-        mask = predict_mask(model, img)
+        mask = segment_image(model, img)
         assert (mask.height, mask.width) == (48, 80)
-
-    def test_indivisible_dims_rejected(self, rng):
-        model = build_segmenter(seed=3)
-        with pytest.raises(ValueError, match="divisible"):
-            predict_mask(model, GrayImage(rng.random((30, 40))))
 
     def test_segment_image_pads_and_crops(self, rng):
         model = build_segmenter(seed=3)
@@ -101,7 +96,7 @@ class TestSegModelForward:
         head = model.layers[-1]
         head.weight[:] = 0.0
         head.bias[:] = (0.0, 10.0)
-        mask = predict_mask(model, GrayImage(np.full((32, 32), 0.5)))
+        mask = segment_image(model, GrayImage(np.full((32, 32), 0.5)))
         assert mask.area == 32 * 32
 
     def test_tie_goes_to_background(self):
@@ -109,7 +104,7 @@ class TestSegModelForward:
         head = model.layers[-1]
         head.weight[:] = 0.0
         head.bias[:] = (0.0, 0.0)
-        mask = predict_mask(model, GrayImage(np.full((32, 32), 0.5)))
+        mask = segment_image(model, GrayImage(np.full((32, 32), 0.5)))
         assert mask.area == 0
 
     def test_rounded_tie_goes_to_background(self):
@@ -118,14 +113,14 @@ class TestSegModelForward:
         head = model.layers[-1]
         head.weight[:] = 0.0
         head.bias[:] = (0.0, 1e-20)
-        mask = predict_mask(model, GrayImage(np.full((32, 32), 0.5)))
+        mask = segment_image(model, GrayImage(np.full((32, 32), 0.5)))
         assert mask.area == 0
 
 
 class TestTrainSegmenter:
     def test_flat_band_memorized(self, flat_band_run):
         data, _, model, _ = flat_band_run
-        scores = [dice(mask, predict_mask(model, img)) for img, mask in data]
+        scores = [dice(mask, segment_image(model, img)) for img, mask in data]
         assert float(np.mean(scores)) >= 0.99
 
     def test_loss_nonincreasing_over_windows(self, flat_band_run):
@@ -206,9 +201,9 @@ class _FixedLogits:
 
 
 def _masks_and_warnings(model, image) -> list:
-    """(mask cells, numpy warnings raised) of predict_mask and of its reference."""
+    """(mask cells, numpy warnings raised) of segment_image and of the reference."""
     out = []
-    for predict in (predict_mask, reference_predict_mask):
+    for predict in (segment_image, reference_predict_mask):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out.append((predict(model, image).cells, [str(w.message) for w in caught]))
@@ -243,7 +238,7 @@ GAP_CASES = [
 
 
 class TestPredictMaskGap:
-    """predict_mask decides most pixels from the logit gap and the rest by
+    """segment_image decides most pixels from the logit gap and the rest by
     softmax; every mask bit must match the softmax of every pixel."""
 
     @pytest.mark.parametrize("pair", GAP_CASES, ids=repr)
@@ -262,23 +257,24 @@ class TestPredictMaskGap:
         for pair, where in zip(GAP_CASES, spots):
             logits[0, 0].flat[where], logits[0, 1].flat[where] = pair
         with np.errstate(over="ignore", invalid="ignore"):
-            mask = predict_mask(_FixedLogits(logits), GrayImage(np.zeros((48, 64))))
+            mask = segment_image(_FixedLogits(logits), GrayImage(np.zeros((48, 64))))
             ref = reference_predict_mask(_FixedLogits(logits), GrayImage(np.zeros((48, 64))))
         assert np.array_equal(mask.cells, ref.cells)
 
     @pytest.mark.parametrize(
         "size", [(80, 48), (96, 64), (120, 72), (160, 96), (100, 60), (64, 48), (144, 80), (200, 100)]
     )
-    def test_segment_image_matches_softmax(self, size, flat_band_run, monkeypatch):
-        # the benchmark's inspect sizes, three of them reflect-padded
+    def test_segment_image_matches_softmax(self, size, flat_band_run):
+        # the benchmark's inspect sizes, three of them reflect-padded: the
+        # reference runs on the padded image and is cropped to the top left
         _, _, model, _ = flat_band_run
         w, h = size
         image = generate(SynthSpec(width=w, height=h, thickness=0.2 * h, tilt_deg=4.0, noise=0.05, seed=w)).image
         mask = segment_image(model, image)
-        monkeypatch.setattr(models, "predict_mask", reference_predict_mask)
-        ref = segment_image(model, image)
+        padded = np.pad(image.pixels, ((0, -h % SEG_DOWNSAMPLE), (0, -w % SEG_DOWNSAMPLE)), mode="reflect")
+        ref = reference_predict_mask(model, GrayImage(padded)).cells[:h, :w]
         assert 0 < mask.area < w * h
-        assert np.array_equal(mask.cells, ref.cells)
+        assert np.array_equal(mask.cells, ref)
 
 
 class TestRcnn:

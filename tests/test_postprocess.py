@@ -8,7 +8,6 @@ from layermet.metrics import dice
 from layermet.postprocess import (
     EmptyPredictionError,
     label_components,
-    largest_component,
     postprocess,
 )
 from layermet.synth import SynthSpec, generate
@@ -130,14 +129,14 @@ class TestLargestComponent:
         cells = np.zeros((10, 12), dtype=bool)
         cells[1:4, 1:4] = True  # area 9
         cells[6:8, 7:9] = True  # area 4
-        out = largest_component(label_components(BinaryMask(cells)))
+        out = postprocess(BinaryMask(cells))
         assert out.area == 9
         assert out.cells[2, 2] and not out.cells[6, 7]
 
     def test_single_blob_identity(self):
         cells = np.zeros((5, 5), dtype=bool)
         cells[1:4, 1:3] = True
-        out = largest_component(label_components(BinaryMask(cells)))
+        out = postprocess(BinaryMask(cells))
         assert (out.cells == cells).all()
 
     def test_tie_goes_to_earlier_raster_discovery(self):
@@ -148,13 +147,9 @@ class TestLargestComponent:
                 "##....",
             ]
         )
-        out = largest_component(label_components(mask))
+        out = postprocess(mask)
         assert out.cells[0, 4] and out.cells[0, 5]
         assert not out.cells[2, 0]
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyPredictionError):
-            largest_component(label_components(BinaryMask(np.zeros((3, 3), dtype=bool))))
 
 
 class TestPostprocess:
