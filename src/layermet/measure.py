@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import BinaryMask
 from .postprocess import label_components
@@ -23,9 +22,6 @@ from .postprocess import label_components
 MAX_FIT_SLOPE = math.tan(math.radians(60.0))
 MIN_SAMPLES = 10
 THREE_LINE_POSITIONS = (0.25, 0.5, 0.75)
-# anchor x segment pairs per vectorized pass: keeps each float64 temporary at
-# 512 kB; 256 anchors x 2047 segments (4 MB each) ran 2-3x slower
-BLOCK_PAIRS = 1 << 16
 
 
 class MeasureError(ValueError):
@@ -95,8 +91,7 @@ def extract_boundaries(mask: BinaryMask) -> BoundaryColumns:
     The mask must hold exactly one 8-connected region; more than one means it
     was not post-processed down to a single component. One region occupies a
     contiguous run of columns. Columns with interior gaps use the outermost
-    extremes, both read from one column-major copy (2048x256: 0.75 ms, was
-    1.08 ms with a transposed copy per `argmax`).
+    extremes, both read from one column-major copy.
     """
     regions = len(label_components(mask).regions)
     if regions == 0:
@@ -135,28 +130,6 @@ def fit_regression_line(points) -> MidlineFit:
     return MidlineFit(slope=slope, intercept=intercept, normal=normal, residual_rms=residual_rms)
 
 
-def _closest_hits(py, sy, det, rx, ay, nx, ny, side):
-    """Ray parameter s of each anchor's closest hit of anchor + s*normal with a polyline.
-
-    Vectorized over anchors (rows) and the segments of their windows
-    (columns). Each segment is one column wide: `py`, `sy` and `det` are its
-    start row, its rise and the determinant of its system with the ray (NaN
-    where they are near parallel or the window passes the band's end), and
-    `rx` its start column less the anchor's, per window column. `side` is -1
-    for hits at s <= 0 (toward the top boundary) and +1 for s >= 0; a ray
-    that misses every segment gets s = side * inf.
-    """
-    ry = py - ay[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (ry - sy * rx) / det
-        u = (nx * ry - ny * rx) / det
-    # side * s maps the top side onto s >= 0 so one min finds the closest hit
-    # on either side; negation is exact, so the hits equal a per-side max/min
-    s = side * s
-    ok = (u >= 0.0) & (u <= 1.0) & (s >= -1e-9)  # False wherever det is NaN
-    return side * np.where(ok, s, np.inf).min(axis=1)
-
-
 def orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> tuple[np.ndarray, ...]:
     """Perpendicular chords through every interior midpoint anchor.
 
@@ -179,30 +152,40 @@ def orthogonal_samples(bounds: BoundaryColumns, fit: MidlineFit) -> tuple[np.nda
     ax, ay = cols[inside], mids[inside]
     first = int(np.argmax(inside))  # the anchors are one run of columns
 
-    # A hit lies within the boundary rows, so |s * ny| <= span and the hit is
-    # within span * |slope| columns of its anchor: each anchor needs only the
-    # segments from reach + 1 columns left to reach columns right of it, and
-    # never more than all of them on either side.
-    span = float(bounds.bottom.max() - bounds.top.min() + 1.0)
-    reach = min(int(math.ceil(span * abs(fit.slope))) + 1, cols.size)
-    rx = np.arange(-reach - 1, reach + 1, dtype=np.float64)  # the columns are contiguous
-    # start row, rise and determinant with the ray of each top, then bottom,
-    # segment, padded with reach + 1 NaNs on both sides
-    segments = np.full((2, 3, cols.size + 2 * reach + 1), np.nan)
-    start, rise, det = segments[:, :, reach + 1 : reach + cols.size].transpose(1, 0, 2)
-    start[0], start[1] = bounds.top[:-1] - 0.5, bounds.bottom[:-1] + 0.5
-    rise[0], rise[1] = np.diff(bounds.top), np.diff(bounds.bottom)  # whole rows: exact
-    det[:] = ny - rise * nx
+    # ny * (y - line) is a point's signed distance from the fitted line, and a
+    # hit H = A + s * normal lies at distance d(A) + s. Along a segment the
+    # distance is linear, so no hit is farther than the farthest vertex:
+    # |s| <= max |d(A)| + max |d(V)|, and the hit lies within |s * nx| columns
+    # of its anchor. Each anchor needs only the segments from reach + 1
+    # columns left to reach columns right of it (the + 1 covers rounding at a
+    # segment's ends), and never more than all of them on either side.
+    line = fit.slope * cols + fit.intercept
+    rows = np.stack([bounds.top - 0.5, bounds.bottom + 0.5])  # top, then bottom polyline
+    bound = ny * (np.abs(ay - line[inside]).max(initial=0.0) + np.abs(rows - line).max())
+    reach = min(int(math.ceil(bound * abs(nx))) + 1, cols.size)
+    # start row, rise and determinant with the ray of each segment, padded
+    # with reach + 1 NaNs on both sides
+    pad = np.full((2, reach + 1), np.nan)
+    start = np.hstack([pad, rows[:, :-1], pad])
+    rise = np.hstack([pad, np.diff(rows), pad])  # whole rows: exact
+    det = ny - rise * nx
     det[np.abs(det) <= 1e-12] = np.nan  # ray and segment near parallel
-    windows = sliding_window_view(segments, rx.size, axis=2)  # a window per column
+    # dividing by side * det gives -(s / det) exactly: the top side maps onto
+    # s >= 0, so one running min finds the closest hit on either side
+    side = np.array([[-1.0], [1.0]])
+    side_det = side * det
 
-    s_up, s_dn = np.empty_like(ax), np.empty_like(ax)
-    step = max(1, BLOCK_PAIRS // rx.size)
-    for lo in range(0, ax.size, step):
-        b = slice(lo, min(lo + step, ax.size))
-        top, bottom = windows[:, :, first + b.start : first + b.stop]
-        s_up[b] = _closest_hits(*top, rx, ay[b], nx, ny, side=-1)
-        s_dn[b] = _closest_hits(*bottom, rx, ay[b], nx, ny, side=+1)
+    # One pass per window column over all anchors and both polylines: each
+    # temporary holds 2 x anchors floats, so no pass needs splitting.
+    closest = np.full((2, ax.size), np.inf)
+    for rx in range(-reach - 1, reach + 1):  # segment start column less the anchor's
+        w = slice(first + reach + 1 + rx, first + reach + 1 + rx + ax.size)
+        ry = start[:, w] - ay
+        s = (ry - rise[:, w] * rx) / side_det[:, w]
+        u = (nx * ry - ny * rx) / det[:, w]
+        ok = (u >= 0.0) & (u <= 1.0) & (s >= -1e-9)  # False wherever det is NaN
+        np.minimum(closest, np.where(ok, s, np.inf), out=closest)
+    s_up, s_dn = side * closest  # a ray that misses a polyline keeps an infinite s
     hit = np.isfinite(s_up) & np.isfinite(s_dn)
     n = int(np.count_nonzero(hit))
     if n < MIN_SAMPLES:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,30 +228,101 @@ def _limit_bands() -> list[BinaryMask]:
     return masks
 
 
+def _arched_bands(count: int, seed: int) -> list[BinaryMask]:
+    """Bands whose midline arches: a parabola, a sine or a lopsided V, in turn,
+    with its steepest local slope up to 1.6 and ragged per-column half-widths.
+    The fitted line runs far from the anchors at an arch's ends and apex, and
+    on a lopsided V the short arm runs nearly along the chords, so a hit can
+    lie on the other side of the line from its anchor: the window needs the
+    anchors' distance from the line as well as the boundaries'."""
+    rng = np.random.default_rng(seed)
+    masks = []
+    for i in range(count):
+        width = int(rng.integers(40, 400))
+        x = np.linspace(-1.0, 1.0, width)
+        if i % 3 == 0:
+            shape, steepest = (x - rng.uniform(-1.0, 1.0)) ** 2, rng.uniform(0.3, 1.6)
+        elif i % 3 == 1:
+            shape = np.sin(np.pi * rng.uniform(0.5, 2.5) * x + rng.uniform(0.0, 2 * np.pi))
+            steepest = rng.uniform(0.3, 1.6)
+        else:  # the vertex a quarter to three fifths of the half-width off centre
+            shape = np.abs(x - rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 0.6))
+            steepest = rng.uniform(1.1, 1.6)
+        mid = np.floor(steepest * shape / np.abs(np.diff(shape)).max()).astype(int)
+        half = int(rng.integers(3, 14))
+        top = mid - rng.integers(2, half + 1, size=width)
+        bottom = mid + rng.integers(2, half + 1, size=width)
+        top, bottom = top - top.min() + 2, bottom - top.min() + 2
+        cells = np.zeros((int(bottom.max()) + 3, width + 4), dtype=bool)
+        for c in range(width):
+            cells[top[c] : bottom[c] + 1, c + 2] = True
+        masks.append(BinaryMask(cells))
+    return masks
+
+
+# (width, height, thickness px, tilt deg) of the perfbench `measure` masks
+MEASURE_WORKLOAD_BANDS = (
+    (512, 384, 24.4, 30.0), (2048, 256, 20.7, 5.0), (768, 384, 28.2, -20.0), (1024, 320, 17.9, 12.0),
+    (640, 384, 31.6, -25.0), (1536, 256, 26.3, -3.0), (512, 384, 22.5, 15.0), (1280, 288, 29.1, -10.0),
+)
+
+
+def _compared_with_reference(masks: list[BinaryMask]) -> int:
+    """Assert that `orthogonal_samples` returns the reference's arrays bit
+    for bit, or raises as it does, on each mask; the number compared."""
+    compared = 0
+    for mask in masks:
+        bounds = extract_boundaries(mask)
+        fit = fit_regression_line(midpoints(bounds))
+        if abs(fit.slope) > measure.MAX_FIT_SLOPE:
+            with pytest.raises(SteepLayerError):
+                orthogonal_samples(bounds, fit)
+            continue
+        try:
+            expected = reference_orthogonal_samples(bounds, fit)
+        except InsufficientCoverageError:
+            with pytest.raises(InsufficientCoverageError):
+                orthogonal_samples(bounds, fit)
+            continue
+        got = orthogonal_samples(bounds, fit)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))  # exact
+        compared += 1
+    return compared
+
+
 class TestOrthogonalSamples:
-    @pytest.mark.parametrize("pairs", [measure.BLOCK_PAIRS, 1000, 1])
-    def test_equals_per_anchor_reference(self, pairs, monkeypatch):
-        # 1000: several passes per band; 1: one anchor per pass
-        monkeypatch.setattr(measure, "BLOCK_PAIRS", pairs)
+    def test_equals_per_anchor_reference(self):
         masks = _acceptance_corpora() + _ragged_bands(30, seed=11) + _limit_bands()
-        compared = 0
-        for mask in masks:
-            bounds = extract_boundaries(mask)
-            fit = fit_regression_line(midpoints(bounds))
-            if abs(fit.slope) > measure.MAX_FIT_SLOPE:
-                with pytest.raises(SteepLayerError):
-                    orthogonal_samples(bounds, fit)
-                continue
-            try:
-                expected = reference_orthogonal_samples(bounds, fit)
-            except InsufficientCoverageError:
-                with pytest.raises(InsufficientCoverageError):
-                    orthogonal_samples(bounds, fit)
-                continue
-            got = orthogonal_samples(bounds, fit)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))  # exact
-            compared += 1
-        assert compared >= len(masks) - 7
+        assert _compared_with_reference(masks) >= len(masks) - 7
+
+    def test_arched_bands_equal_the_reference(self):
+        # the corpora above never need the anchors' term of the window bound
+        masks = _arched_bands(60, seed=6)
+        assert _compared_with_reference(masks) >= len(masks) - 3
+
+    def test_measure_workload_bands_equal_the_reference(self):
+        masks = [
+            generate(SynthSpec(width=w, height=h, thickness=t, tilt_deg=tilt, seed=i)).truth_mask
+            for i, (w, h, t, tilt) in enumerate(MEASURE_WORKLOAD_BANDS)
+        ]
+        assert _compared_with_reference(masks) == len(masks)
+
+    def test_traced_peak_on_a_wide_steep_thick_band(self):
+        # 4096 columns at 35 deg, 600 rows thick: 2,894 anchors and a window of
+        # 288 columns, so one anchors x window float64 matrix would be 6.7 MB.
+        # Recorded peak 1.14 MB; the bound leaves a 75% margin.
+        x = np.arange(4096)
+        top = np.floor(math.tan(math.radians(35.0)) * x) + 2.0
+        bounds = measure.BoundaryColumns(columns=x + 3, top=top, bottom=top + 600.0)
+        fit = fit_regression_line(midpoints(bounds))
+        tracemalloc.start()
+        try:
+            anchor, *_ = orthogonal_samples(bounds, fit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert anchor.shape == (2894, 2)
+        assert peak / 1e6 <= 2.0
 
     def test_flat_band_exact(self):
         mask = band_mask(100, 20, 29, height=64)
