@@ -80,7 +80,7 @@ FAULTS = (
         "measure.py",
         "np.abs(ay - line[inside]).max(initial=0.0) + np.abs(rows - line).max()",
         "np.abs(rows - line).max()",
-        ("tests/test_measure.py::TestOrthogonalSamples::test_arched_bands_equal_the_reference",),
+        ("tests/test_measure.py::TestOrthogonalSamples::test_equals_per_anchor_reference",),
     ),
     Fault(
         "maxpool column pass keeps the second of a tie",

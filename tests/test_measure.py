@@ -267,45 +267,31 @@ MEASURE_WORKLOAD_BANDS = (
 )
 
 
-def _compared_with_reference(masks: list[BinaryMask]) -> int:
-    """Assert that `orthogonal_samples` returns the reference's arrays bit
-    for bit, or raises as it does, on each mask; the number compared."""
-    compared = 0
-    for mask in masks:
-        bounds = extract_boundaries(mask)
-        fit = fit_regression_line(midpoints(bounds))
-        if abs(fit.slope) > measure.MAX_FIT_SLOPE:
-            with pytest.raises(SteepLayerError):
-                orthogonal_samples(bounds, fit)
-            continue
-        try:
-            expected = reference_orthogonal_samples(bounds, fit)
-        except InsufficientCoverageError:
-            with pytest.raises(InsufficientCoverageError):
-                orthogonal_samples(bounds, fit)
-            continue
-        got = orthogonal_samples(bounds, fit)
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))  # exact
-        compared += 1
-    return compared
-
-
 class TestOrthogonalSamples:
     def test_equals_per_anchor_reference(self):
-        masks = _acceptance_corpora() + _ragged_bands(30, seed=11) + _limit_bands()
-        assert _compared_with_reference(masks) >= len(masks) - 7
-
-    def test_arched_bands_equal_the_reference(self):
-        # the corpora above never need the anchors' term of the window bound
-        masks = _arched_bands(60, seed=6)
-        assert _compared_with_reference(masks) >= len(masks) - 3
-
-    def test_measure_workload_bands_equal_the_reference(self):
-        masks = [
+        masks = _acceptance_corpora() + _ragged_bands(30, seed=11) + _limit_bands() + _arched_bands(60, seed=6)
+        masks += [
             generate(SynthSpec(width=w, height=h, thickness=t, tilt_deg=tilt, seed=i)).truth_mask
             for i, (w, h, t, tilt) in enumerate(MEASURE_WORKLOAD_BANDS)
         ]
-        assert _compared_with_reference(masks) == len(masks)
+        compared = 0
+        for mask in masks:
+            bounds = extract_boundaries(mask)
+            fit = fit_regression_line(midpoints(bounds))
+            if abs(fit.slope) > measure.MAX_FIT_SLOPE:
+                with pytest.raises(SteepLayerError):
+                    orthogonal_samples(bounds, fit)
+                continue
+            try:
+                expected = reference_orthogonal_samples(bounds, fit)
+            except InsufficientCoverageError:
+                with pytest.raises(InsufficientCoverageError):
+                    orthogonal_samples(bounds, fit)
+                continue
+            got = orthogonal_samples(bounds, fit)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))  # exact
+            compared += 1
+        assert compared >= len(masks) - 7
 
     def test_traced_peak_on_a_wide_steep_thick_band(self):
         # 4096 columns at 35 deg, 600 rows thick: 2,894 anchors and a window of
