@@ -134,6 +134,26 @@ FAULTS = (
         ),
     ),
     Fault(
+        "a tie goes to the layer",
+        "nnet/models.py",
+        "probs[0, 1] > probs[0, 0]",
+        "probs[0, 1] >= probs[0, 0]",
+        (
+            "tests/test_models.py::TestSegModelForward::test_tie_goes_to_background",
+            "tests/test_models.py::TestPredictMaskGap::test_gap_cases_match_softmax",
+        ),
+    ),
+    Fault(
+        "logits compared instead of probabilities",
+        "nnet/models.py",
+        "mask = probs[0, 1] > probs[0, 0]",
+        "mask = logits[0, 1] > logits[0, 0]",
+        (
+            "tests/test_models.py::TestSegModelForward::test_rounded_tie_goes_to_background",
+            "tests/test_cli.py::TestSegmentCommand::test_overflowing_weights_print_one_error_line",
+        ),
+    ),
+    Fault(
         "batchnorm running statistics stored in swapped order",
         "nnet/layers.py",
         'BUFFERS = ("running_mean", "running_var")',

@@ -231,7 +231,7 @@ def _read_p2_pixels(data: bytes, pos: int, count: int) -> np.ndarray:
     The scan starts with room for `count` 3-digit tokens and doubles until it
     holds one token more (or all the data), so bytes after the last pixel
     token cost next to nothing. Range compares class the bytes and values sum
-    in int16: 3.0 ms on the `measure` benchmark's 768x384 P2 mask, was 8.5 ms.
+    in int16: 3.0 ms on the `measure` benchmark's 768x384 P2 mask.
     """
     size = 4 * count + 64
     while True:
@@ -401,7 +401,7 @@ def render_overlay(image: GrayImage, mask: BinaryMask, report=None, caption: str
     black (clipped to the mask so nothing outside it is touched); a non-empty
     caption fills the top band and renders white 5x7 glyphs. Pixels outside the
     mask and the caption band are never altered. Gray levels come from the grid
-    `normalize` kept, else `to_u8()` (2048x256 with chords: 1.5 ms, was 2.1 ms).
+    `normalize` kept, else `to_u8()` (2048x256 with chords: 1.5 ms).
     """
     if (image.height, image.width) != (mask.height, mask.width):
         raise ValueError(

@@ -29,13 +29,10 @@ padded input shifted by (i, j) for channel c, and the weight matrix
 A 1x1 kernel's patch matrix is the channel-major input itself: a view of one
 image with no copy (the segmenter's head took 34.4 against 129.5 us at
 1x8x112x208), one copy for a batch, and the same GEMM operand either way.
-The k*k slice copies with their own zero borders that it replaced took 4x
-as long on the smallest maps (39 against 9 us at 1x8x6x10) and as long on
-the largest. Each conv returns its (out, N*H*W) product as a contiguous
-NCHW array. Handing the next layer the (C, N, H, W) view instead would save
-that copy, but batchnorm then reduces its mean, variance and sums in a
-different memory order and every gradient of the segmenter changes in the
-last bits.
+Each conv returns its (out, N*H*W) product as a contiguous NCHW array.
+Handing the next layer the (C, N, H, W) view instead would save that copy,
+but batchnorm then reduces its mean, variance and sums in a different memory
+order and every gradient of the segmenter changes in the last bits.
 
 The other layers keep the results of their first numpy versions bit for bit.
 A train-mode forward computes its output as an inference forward does and
@@ -58,11 +55,7 @@ MaxPool2's, runs only for an output that holds a NaN:
   between the two rows of the column maxima, and is computed only in train
   mode or for a NaN output. Train mode keeps it as a uint8 index (0 to 3 in
   scan order), and backward writes `dy` to the winner of each block and
-  +0.0 elsewhere. A train-mode forward took 175 us at 4x8x48x80 and 399 at
-  2x8x64x256 against 470 and 665 with the int64 XOR blends of each pick it
-  replaced; an inference forward, which needs no index, takes 16 us at
-  1x8x48x80 against 76 with those blends (timeit best of 7, one BLAS
-  thread, 2 vCPU VM).
+  +0.0 elsewhere.
 - A masked gradient, `np.where(mask, dy, 0.0)`, is `dy`'s bits ANDed with
   all-ones or all-zero words (`_masked`); Dropout masks its scaled input and
   gradient the same way.

@@ -32,9 +32,6 @@ RCNN_DENSE = (64, 16)
 
 SGD_MOMENTUM = 0.9
 
-# A logit gap above this makes a pixel foreground without its softmax (see segment_image).
-SURE_GAP = 1e-6
-
 
 @dataclass
 class TrainConfig:
@@ -201,35 +198,20 @@ def train_segmenter(data: list[tuple[GrayImage, BinaryMask]], cfg: TrainConfig) 
 
 
 def segment_image(model: Model, image: GrayImage) -> BinaryMask:
-    """The segmenter's mask of `image`: per-pixel argmax over class
-    probabilities, ties going to background.
+    """The segmenter's mask of `image`: a pixel is foreground where the softmax
+    gives the layer class strictly the larger probability, so a tie, NaN
+    probabilities included, is background.
 
     A side that is not a multiple of SEG_DOWNSAMPLE is reflect-padded up to
     one for the forward pass, and the mask is cropped back to the image.
-
-    A pixel is foreground where its softmax gives the layer class the larger
-    probability. The softmax is monotone in the logit gap `l1 - l0`, so the
-    gap decides most pixels without an `exp`: above SURE_GAP the two
-    probabilities differ by about SURE_GAP relative, far above rounding, and
-    the pixel is foreground; at or below 0 the layer's probability is at most
-    the background's, and the pixel is background. The softmax decides the
-    rest as it decided every pixel before: gaps in (0, SURE_GAP], where `exp`
-    may round the two probabilities together (a gap of 1e-20 ties them), a
-    NaN gap, and a gap of +inf, which a logit of +inf gives as well as an
-    overflow. A gap of -inf is background either way.
     """
     h, w = image.height, image.width
     x = image.pixels
     if h % SEG_DOWNSAMPLE or w % SEG_DOWNSAMPLE:
         x = np.pad(x, ((0, -h % SEG_DOWNSAMPLE), (0, -w % SEG_DOWNSAMPLE)), mode="reflect")
     logits = model.forward(x[None, None, :, :], train=False)
-    gap = logits[0, 1] - logits[0, 0]
-    mask = gap > SURE_GAP
-    unsure = ~(mask | (gap <= 0.0))
-    unsure |= gap == np.inf
-    if unsure.any():
-        probs = softmax(logits[:, :, unsure])
-        mask[unsure] = probs[0, 1] > probs[0, 0]
+    probs = softmax(logits)
+    mask = probs[0, 1] > probs[0, 0]
     return BinaryMask(mask[:h, :w])
 
 

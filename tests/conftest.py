@@ -441,9 +441,9 @@ def reference_maxpool2(x: np.ndarray, dy: np.ndarray):
 
 
 def reference_predict_mask(model, image: GrayImage) -> BinaryMask:
-    """`models.segment_image`'s pixel decision, on an image it need not pad,
-    as it was before it decided pixels from the logit gap: the softmax of
-    every pixel, foreground where the layer class is strictly more probable."""
+    """`models.segment_image`'s pixel decision, on an image it need not pad:
+    the softmax of every pixel, foreground where the layer class is strictly
+    more probable."""
     probs = softmax(model.forward(image.pixels[None, None, :, :], train=False))
     return BinaryMask(probs[0, 1] > probs[0, 0])
 

@@ -210,8 +210,8 @@ def _masks_and_warnings(model, image) -> list:
     return out
 
 
-# (background logit, layer logit) pairs at and around the logit-gap cut:
-# ties, gaps the softmax rounds to a tie, overflowing gaps, infinities and NaNs
+# (background logit, layer logit) pairs at the edges of the softmax rule: ties,
+# gaps the softmax rounds to a tie, tiny and overflowing gaps, infinities and NaNs
 GAP_CASES = [
     (0.0, 0.0),
     (0.0, -0.0),
@@ -238,8 +238,9 @@ GAP_CASES = [
 
 
 class TestPredictMaskGap:
-    """segment_image decides most pixels from the logit gap and the rest by
-    softmax; every mask bit must match the softmax of every pixel."""
+    """segment_image's mask is the softmax rule of conftest.reference_predict_mask
+    bit for bit: on ties, rounded ties, infinities and NaNs, alone or among
+    gaps of every scale, and on the benchmark's sizes, padded ones included."""
 
     @pytest.mark.parametrize("pair", GAP_CASES, ids=repr)
     def test_gap_cases_match_softmax(self, pair):
@@ -250,7 +251,7 @@ class TestPredictMaskGap:
         assert ref_warned or not warned  # no numpy warning the softmax did not raise
 
     def test_mixed_grid_matches_softmax(self, rng):
-        # the gap cases scattered among gaps of every scale around the cut
+        # the gap cases scattered among gaps of every scale around zero
         logits = rng.normal(size=(1, 2, 48, 64))
         logits[0, 1] = logits[0, 0] + rng.choice((-1.0, 1.0), size=(48, 64)) * 10.0 ** rng.uniform(-22, 3, (48, 64))
         spots = rng.choice(48 * 64, size=(len(GAP_CASES), 20), replace=False)
