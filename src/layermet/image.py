@@ -15,7 +15,6 @@ import numpy as np
 
 from .font import GLYPH_ADVANCE, GLYPH_HEIGHT, GLYPH_WIDTH, glyph
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"  # bytes 9 to 13 and 32
 _MAX_HEADER_DIGITS = 18  # significant digits; more than any file could need
 
 # Overlay constants: tint alpha on the layer, caption band height in rows.
@@ -161,34 +160,21 @@ def normalize(raw) -> GrayImage:
     return image
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
-    """Next header token, skipping whitespace and '#' comment lines."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            nl = data.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            break
-    if pos >= n:
-        raise PgmError("unexpected end of data in header", pos)
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], start, pos
-
-
 def read_pgm(data: bytes) -> np.ndarray:
     """Parse a P5 (binary) or P2 (ASCII) PGM with maxval 255 into a uint8 grid."""
-    magic, magic_at, pos = _next_token(data, 0)
+    _, _, starts, ends = _tokens(data, 0, 4)
+
+    def token(i: int) -> tuple[bytes, int]:
+        if i >= starts.size:
+            raise PgmError("unexpected end of data in header", len(data))
+        return data[starts[i] : ends[i]], int(starts[i])
+
+    magic, magic_at = token(0)
     if magic not in (b"P5", b"P2"):
         raise PgmError(f"unsupported magic {magic!r}, expected P5 or P2", magic_at)
     dims = []
-    for name in ("width", "height", "maxval"):
-        tok, tok_at, pos = _next_token(data, pos)
+    for i, name in enumerate(("width", "height", "maxval"), 1):
+        tok, tok_at = token(i)
         digits = tok.lstrip(b"0")
         if not tok.isdigit() or len(digits) > _MAX_HEADER_DIGITS:
             raise PgmError(f"bad {name} token {tok!r}", tok_at)
@@ -198,10 +184,10 @@ def read_pgm(data: bytes) -> np.ndarray:
         raise PgmError(f"dimensions must be positive, got {width}x{height}", w_at)
     if maxval != 255:
         raise PgmError(f"unsupported maxval {maxval}, expected 255", m_at)
-    count = width * height
+    count, pos = width * height, int(ends[3])
 
     if magic == b"P5":
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
+        if pos >= len(data):
             raise PgmError("expected single whitespace byte before payload", pos)
         pos += 1
         if len(data) - pos < count:
@@ -221,35 +207,38 @@ def read_pgm(data: bytes) -> np.ndarray:
     return _read_p2_pixels(data, pos, count).reshape(height, width)
 
 
-def _read_p2_pixels(data: bytes, pos: int, count: int) -> np.ndarray:
-    """The first `count` pixel tokens after `pos`, in whole-array passes.
-
-    Tokens split at whitespace, a '#' where a token could start opens a
-    comment up to its newline, and a pixel is ASCII digits (leading zeros
-    allowed) worth at most 255. The first token that is not, a bad token or
-    one out of range, raises before a short payload does.
-    The scan starts with room for `count` 3-digit tokens and doubles until it
-    holds one token more (or all the data), so bytes after the last pixel
-    token cost next to nothing. Range compares class the bytes and values sum
-    in int16: 3.0 ms on the `measure` benchmark's 768x384 P2 mask.
-    """
+def _tokens(data: bytes, pos: int, count: int):
+    """Up to `count` tokens after `pos`: the scanned bytes, their blank mask
+    and the tokens' starts and ends, all relative to `pos`. Tokens split at
+    whitespace (bytes 9 to 13 and 32), and a '#' where a token could start
+    opens a comment up to its newline. The scan starts with room for `count`
+    3-digit tokens and doubles until it holds one token more (or all the
+    data), so bytes after the last token cost next to nothing."""
     size = 4 * count + 64
     while True:
         raw = np.frombuffer(data, np.uint8, min(size, len(data) - pos), pos)
-        blank = (raw == 32) | ((raw >= 9) & (raw <= 13))  # whitespace, then comments as well
-        hashes = np.flatnonzero(raw == ord("#"))
-        hashes = hashes[(hashes == 0) | blank[hashes - 1]]
+        # blank[k + 1] flags raw[k]; a blank byte pads each side
+        blank = np.ones(raw.size + 2, bool)
+        np.logical_or(raw == 32, (raw >= 9) & (raw <= 13), out=blank[1:-1])
         end = 0
-        for i in hashes.tolist():
+        for i in np.flatnonzero((raw == ord("#")) & blank[:-2]).tolist():
             if i >= end:  # not inside the comment before it
                 nl = data.find(b"\n", pos + i)
                 end = len(data) - pos if nl < 0 else nl + 1 - pos
-                blank[i:end] = True
-        edges = np.flatnonzero(np.diff(blank, prepend=True, append=True))
+                blank[i + 1 : end + 1] = True
+        edges = np.flatnonzero(blank[1:] != blank[:-1])
         if edges.size > 2 * count or pos + raw.size == len(data):
-            break
+            return raw, blank[1:-1], edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
         size *= 2
-    starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
+
+
+def _read_p2_pixels(data: bytes, pos: int, count: int) -> np.ndarray:
+    """The first `count` pixel tokens after `pos`, each ASCII digits (leading
+    zeros allowed) worth at most 255. The first token that is not, a bad
+    token or one out of range, raises before a short payload does. Range
+    compares class the bytes and values sum in int16: 3.0 ms on the
+    `measure` benchmark's 768x384 P2 mask."""
+    raw, blank, starts, ends = _tokens(data, pos, count)
     lengths = ends - starts
 
     # The value of each token's last three digits. A token is bad if it is

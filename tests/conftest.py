@@ -12,7 +12,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from layermet.font import GLYPH_ADVANCE, GLYPH_WIDTH, glyph
 from layermet.image import (
-    _WHITESPACE,
     CAPTION_BAND,
     MAX_OVERLAY_LINES,
     TINT_ALPHA,
@@ -21,7 +20,6 @@ from layermet.image import (
     GrayImage,
     PgmError,
     _bresenham,
-    _next_token,
 )
 from layermet.nnet.layers import BN_EPS, BN_MOMENTUM
 from layermet.nnet.models import softmax
@@ -165,10 +163,34 @@ def reference_label_components(mask: BinaryMask) -> LabeledRegions:
     return LabeledRegions(labels, np.bincount(labels.ravel())[1:].astype(np.int64))
 
 
+PGM_WHITESPACE = b" \t\n\r\x0b\x0c"  # bytes 9 to 13 and 32
+
+
+def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
+    """Next PGM token, skipping whitespace and '#' comment lines, one byte at a time."""
+    n = len(data)
+    while pos < n:
+        c = data[pos]
+        if c in PGM_WHITESPACE:
+            pos += 1
+        elif c == ord("#"):
+            nl = data.find(b"\n", pos)
+            pos = n if nl < 0 else nl + 1
+        else:
+            break
+    if pos >= n:
+        raise PgmError("unexpected end of data in header", pos)
+    start = pos
+    while pos < n and data[pos] not in PGM_WHITESPACE:
+        pos += 1
+    return data[start:pos], start, pos
+
+
 def reference_read_pgm(data: bytes) -> np.ndarray:
-    """`image.read_pgm` one token at a time: one `_next_token` per pixel, and
-    every number matched as ASCII digits, leading zeros allowed (at most 18
-    significant digits in the header), with no sign or underscore."""
+    """`image.read_pgm` one byte at a time: one `_next_token` per header
+    token and per pixel, and every number matched as ASCII digits, leading
+    zeros allowed (at most 18 significant digits in the header), with no sign
+    or underscore."""
     magic, magic_at, pos = _next_token(data, 0)
     if magic not in (b"P5", b"P2"):
         raise PgmError(f"unsupported magic {magic!r}, expected P5 or P2", magic_at)
@@ -187,7 +209,7 @@ def reference_read_pgm(data: bytes) -> np.ndarray:
     count = width * height
 
     if magic == b"P5":
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
+        if pos >= len(data) or data[pos] not in PGM_WHITESPACE:
             raise PgmError("expected single whitespace byte before payload", pos)
         pos += 1
         if len(data) - pos < count:

@@ -285,18 +285,43 @@ P2_SEPARATORS = st.sampled_from(
 )
 
 
+# What may stand before the magic: nothing, whitespace or a comment.
+PGM_LEADS = st.sampled_from([b"", b"", b"\n", b"# made by hand\n", b"#\n \t", b" # P5\n"])
+
+
+def _header(draw, magic: bytes, w: int, h: int) -> bytearray:
+    """A PGM header whose four tokens are split by drawn separators."""
+    header = bytearray(draw(PGM_LEADS) + magic)
+    for tok in (w, h, 255):
+        header += draw(P2_SEPARATORS) + str(tok).encode()
+    return header
+
+
 @st.composite
 def p2_files(draw) -> bytes:
     """A P2 file whose body has a token or two fewer or more than its header
     asks for, cut short at a random byte one time in four."""
     w, h = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    body = bytearray(f"P2\n{w} {h}\n255".encode())
+    body = _header(draw, b"P2", w, h)
     for _ in range(max(0, w * h + draw(st.integers(-2, 2)))):
         body += draw(P2_SEPARATORS) + draw(P2_TOKENS)
     body += draw(P2_SEPARATORS)
     if draw(st.integers(0, 3)) == 0:
         del body[draw(st.integers(0, len(body))) :]
     return bytes(body)
+
+
+@st.composite
+def p5_files(draw) -> bytes:
+    """A P5 file: one whitespace byte after the header, then a payload of a
+    byte or two fewer or more than the header asks for, cut short at a
+    random byte one time in four."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    data = _header(draw, b"P5", w, h) + bytes([draw(st.sampled_from(b" \t\n\r\x0b\x0c"))])
+    data += draw(st.binary(min_size=max(0, w * h - 2), max_size=w * h + 2))
+    if draw(st.integers(0, 3)) == 0:
+        del data[draw(st.integers(0, len(data))) :]
+    return bytes(data)
 
 
 def _outcome(parse, data: bytes):
@@ -307,12 +332,21 @@ def _outcome(parse, data: bytes):
     return grid.shape, grid.tobytes()
 
 
+EDITS = st.lists(st.tuples(OPS, st.integers(0, 64), BYTES), max_size=3)
+
+
 class TestP2Oracle:
-    """`read_pgm` against the per-token P2 reader it replaced."""
+    """`read_pgm` against conftest's per-byte reader."""
 
     @settings(max_examples=600)
-    @given(p2_files(), st.lists(st.tuples(OPS, st.integers(0, 64), BYTES), max_size=3))
+    @given(p2_files(), EDITS)
     def test_equals_per_token_reader(self, data, edits):
+        data = _mutate(data, edits)
+        assert _outcome(read_pgm, data) == _outcome(reference_read_pgm, data)
+
+    @settings(max_examples=400)
+    @given(p5_files(), EDITS)
+    def test_p5_equals_per_token_reader(self, data, edits):
         data = _mutate(data, edits)
         assert _outcome(read_pgm, data) == _outcome(reference_read_pgm, data)
 
@@ -330,10 +364,22 @@ P2_DIGITS = set(range(ord("0"), ord("9") + 1))
 
 
 class TestP2ByteClasses:
-    """Each of the 256 byte values between two digits and inside a comment."""
+    """Each of the 256 byte values after the magic, between two digits and inside a comment."""
 
     def test_whitespace_is_the_documented_set(self):
-        assert set(image._WHITESPACE) == P2_WHITESPACE
+        # the byte between the magic and the width, in either format
+        wrong = {}
+        for b in range(256):
+            for magic, rest in ((b"P2", b"2 1\n255\n7 9\n"), (b"P5", b"2 1\n255\n\x07\x09")):
+                tok = magic + bytes([b]) + rest[:1]
+                if b in P2_WHITESPACE:
+                    expected = ((1, 2), b"\x07\x09")
+                else:  # any other byte, '#' and digits included, belongs to the magic
+                    expected = (PgmError, f"unsupported magic {tok!r}, expected P5 or P2 (byte 0)", 0)
+                got = _outcome(read_pgm, magic + bytes([b]) + rest)
+                if got != expected:
+                    wrong[magic, b] = got
+        assert wrong == {}
 
     def test_byte_between_two_digits(self):
         wrong = {}
