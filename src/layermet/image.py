@@ -264,7 +264,7 @@ def _read_p2_pixels(data: bytes, pos: int, count: int) -> np.ndarray:
             raise PgmError(f"bad pixel token {tok!r}", at)
         raise PgmError(f"pixel value {tok.lstrip(b'0').decode()} out of range", at)
     if starts.size < count:
-        raise PgmError("unexpected end of data in header", len(data))
+        raise PgmError(f"truncated payload: expected {count} pixel tokens, found {starts.size}", len(data))
     return values.astype(np.uint8)
 
 

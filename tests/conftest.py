@@ -227,7 +227,10 @@ def reference_read_pgm(data: bytes) -> np.ndarray:
         )
     values = np.empty(count, dtype=np.uint8)
     for i in range(count):
-        tok, tok_at, pos = _next_token(data, pos)
+        try:
+            tok, tok_at, pos = _next_token(data, pos)
+        except PgmError:
+            raise PgmError(f"truncated payload: expected {count} pixel tokens, found {i}", len(data)) from None
         m = re.fullmatch(rb"0*([0-9]+)", tok)
         if m is None:
             raise PgmError(f"bad pixel token {tok!r}", tok_at)

@@ -350,6 +350,14 @@ class TestP2Oracle:
         data = _mutate(data, edits)
         assert _outcome(read_pgm, data) == _outcome(reference_read_pgm, data)
 
+    def test_short_body_is_a_truncated_payload(self):
+        # the header is whole; the body holds 2 of the 4 pixel tokens
+        data = b"P2\n2 2\n255\n0 255   "
+        with pytest.raises(PgmError) as err:
+            read_pgm(data)
+        assert str(err.value) == "truncated payload: expected 4 pixel tokens, found 2 (byte 19)"
+        assert err.value.offset == len(data)
+
     def test_first_bad_token_comes_before_a_short_payload(self):
         with pytest.raises(PgmError, match="bad pixel token") as err:
             read_pgm(b"P2\n2 2\n255\n0 7x 255    ")
